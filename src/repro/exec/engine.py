@@ -61,7 +61,12 @@ from repro.errors import DeadlockError, LaunchError, LaunchTimeout
 from repro.gpu.atomics import apply_atomic
 from repro.gpu.block import DEFAULT_MAX_ROUNDS, ThreadBlock
 from repro.gpu.counters import BlockCounters
-from repro.exec.pool import RetryPolicy, fork_available, fork_map
+from repro.exec.pool import (
+    MAX_AUTO_WORKERS,
+    RetryPolicy,
+    fork_available,
+    fork_map,
+)
 from repro.exec.record import (
     OP_ATOMIC,
     OP_STORE,
@@ -78,16 +83,14 @@ from repro.exec.state import (
     snapshot_numeric,
 )
 
-#: Default cap on auto-detected worker count.
-MAX_AUTO_WORKERS = 8
-
-
 @dataclass(frozen=True)
 class GridSegment:
-    """One sub-launch of a segmented (batched) grid.
+    """One block range of a launch grid.
 
-    The serve tier's batcher coalesces compatible small launches into a
-    single grid by concatenating their block ranges: segment *i*
+    Every plan is a segment list: a solo launch is one segment covering
+    the whole grid, and the serve tier's batcher coalesces compatible
+    small launches into a single grid by concatenating their block
+    ranges.  Segment *i*
     occupies global block ids ``[offset_i, offset_i + num_blocks)`` but
     its blocks execute with **local** coordinates — ``block_id`` in
     ``[0, num_blocks)`` and ``num_blocks`` equal to the segment's own
@@ -105,7 +108,7 @@ class GridSegment:
 
 @dataclass
 class SegmentOutcome:
-    """Per-segment slice of a segmented launch's outcome.
+    """Per-segment slice of a launch's outcome.
 
     ``error`` carries the :class:`~repro.exec.record.ErrorCapsule` a
     solo launch of this segment would have *raised*; other segments are
@@ -157,23 +160,22 @@ class LaunchPlan:
     deadline: Optional[float] = None
     #: Optional worker-pool :class:`~repro.exec.pool.RetryPolicy`.
     retry: object = None
-    #: Round-engine preference (see :mod:`repro.gpu.block`): None lets the
-    #: block auto-select (fast when hook-free), False forces the
-    #: instrumented engine — the differential suite's reference.  Hooks
-    #: always force instrumented regardless of this field.
-    fastpath: Optional[bool] = None
     #: Resolved round-engine name (``"instrumented"``/``"fast"``/``"jit"``;
-    #: None falls back to ``fastpath``).  ``Device.launch`` resolves the
-    #: kwarg/env/hook ladder before building the plan.
+    #: None lets the block auto-select, fast when hook-free).
+    #: ``Device.launch`` resolves the kwarg/env/hook ladder before
+    #: building the plan; hooks always force instrumented.
     engine: Optional[str] = None
     #: Per-launch :class:`repro.jit.stats.JitCounters` when ``engine`` is
     #: ``"jit"``; also rides ``side_state`` so worker deltas merge back.
     jit_stats: object = None
-    #: Segmented (batched) grid: one :class:`GridSegment` per coalesced
-    #: sub-launch, concatenated in ascending global block id.  When set,
-    #: ``entry`` is unused, ``num_blocks`` must equal the segment total,
-    #: and hooks (tracer/sanitizer/detect_races/schedule_policy) are
-    #: rejected — batched launches are hook-free by construction.
+    #: The grid as :class:`GridSegment`\ s in ascending global block id.
+    #: Left None, the plan is *solo*: it becomes one segment of
+    #: ``num_blocks`` running ``entry``, and executors raise that
+    #: segment's error.  Given, the plan is a batch of coalesced
+    #: sub-launches: ``entry`` is unused, ``num_blocks`` must equal the
+    #: segment total, and hooks (tracer/sanitizer/detect_races/
+    #: schedule_policy) are rejected — batched launches are hook-free by
+    #: construction.
     segments: Optional[Tuple[GridSegment, ...]] = None
     #: Optional :class:`repro.faults.checkpoint.LaunchCheckpoint`.  The
     #: parallel engine merges its completed block records instead of
@@ -182,22 +184,29 @@ class LaunchPlan:
     #: block error) so ``launch(retries=..., resume=True)`` resumes from
     #: where the last attempt got to instead of from zero.
     checkpoint: object = None
+    #: True when ``segments`` was left None (see there).
+    solo: bool = field(init=False)
 
-    # -- segmented-grid geometry ------------------------------------------
+    def __post_init__(self) -> None:
+        self.solo = self.segments is None
+        if self.solo:
+            self.segments = (
+                GridSegment(self.entry, self.num_blocks, self.label),
+            )
+
+    # -- grid geometry -----------------------------------------------------
     def segment_spans(self) -> List[Tuple[int, int]]:
         """``(start, end)`` global block-id span per segment."""
         spans = []
         start = 0
-        for seg in self.segments or ():
+        for seg in self.segments:
             spans.append((start, start + seg.num_blocks))
             start += seg.num_blocks
         return spans
 
     def block_binding(self, block_id: int) -> Tuple[int, object, int, int]:
         """``(segment_index, entry, local_block_id, local_num_blocks)``
-        for one global block id (identity for unsegmented plans)."""
-        if self.segments is None:
-            return 0, self.entry, block_id, self.num_blocks
+        for one global block id."""
         offset = 0
         for si, seg in enumerate(self.segments):
             if block_id < offset + seg.num_blocks:
@@ -208,8 +217,8 @@ class LaunchPlan:
         )
 
     def validate_segments(self) -> None:
-        """Reject plan shapes the segmented executors do not support."""
-        if self.segments is None:
+        """Reject batched plan shapes the executors do not support."""
+        if self.solo:
             return
         total = sum(s.num_blocks for s in self.segments)
         if total != self.num_blocks:
@@ -237,7 +246,7 @@ class ExecOutcome:
     #: Worker-pool recovery stats (:data:`repro.exec.pool.STAT_KEYS`);
     #: None when execution never touched the pool.
     recovery: Optional[dict] = None
-    #: Per-segment outcomes for segmented (batched) plans; None otherwise.
+    #: One :class:`SegmentOutcome` per plan segment.
     segments: Optional[List[SegmentOutcome]] = None
     #: Checkpoint/resume split (``plan.checkpoint``): blocks merged from
     #: a prior attempt's checkpoint vs blocks executed this attempt.
@@ -256,87 +265,31 @@ def _make_monitor(plan: LaunchPlan):
 class SerialExecutor:
     """The reference executor: the classic sequential block loop.
 
-    Byte-for-byte the behaviour ``Device.launch`` always had — one
-    shared monitor for the whole launch, blocks run in ascending id
-    against live global memory, a report-mode deadlock truncates the
-    loop without updating the deadlocked block's shared high-water mark.
+    One loop serves every plan: segments run in order, each segment's
+    blocks in ascending *local* id against live global memory, with one
+    shared monitor for the whole launch.  A block that raises ends its
+    segment, and the partial state it committed stays.  A solo plan
+    re-raises the error right there — the very exception object the
+    kernel raised — except that a deadlock under a report-mode sanitizer
+    truncates the launch instead (without updating the deadlocked
+    block's shared high-water mark).  A batched plan records the error
+    in the segment's :class:`SegmentOutcome` and runs the later
+    segments, which touch disjoint buffers.
     """
 
     def execute(self, device, plan: LaunchPlan) -> ExecOutcome:
-        if plan.segments is not None:
-            return self._execute_segments(device, plan)
-        monitor = _make_monitor(plan)
-        blocks: List[BlockCounters] = []
-        shared_used = 0
-        for block_id in range(plan.num_blocks):
-            if plan.deadline is not None and time.monotonic() >= plan.deadline:
-                if plan.faults is not None:
-                    plan.faults.counters.timeouts += 1
-                raise LaunchTimeout(
-                    f"launch watchdog expired after {block_id}/"
-                    f"{plan.num_blocks} blocks",
-                    blocks_done=block_id,
-                    num_blocks=plan.num_blocks,
-                    progress=[(i, b.rounds) for i, b in enumerate(blocks)],
-                )
-            block = ThreadBlock(
-                block_id=block_id,
-                num_threads=plan.threads_per_block,
-                params=device.params,
-                gmem=device.gmem,
-                entry=plan.entry,
-                args=plan.args,
-                num_blocks=plan.num_blocks,
-                max_rounds=plan.max_rounds,
-                tracer=plan.tracer,
-                detect_races=plan.detect_races and monitor is None,
-                monitor=monitor,
-                schedule_policy=plan.schedule_policy,
-                faults=plan.faults,
-                fastpath=plan.fastpath,
-                engine=plan.engine,
-                jit_stats=plan.jit_stats,
-            )
-            try:
-                blocks.append(block.run())
-            except DeadlockError:
-                if not plan.report_mode:
-                    raise
-                # Report mode: the deadlock finding is already recorded by
-                # the analyzer; remaining blocks are skipped because the
-                # launch cannot produce trustworthy results past this point.
-                blocks.append(block.counters)
-                break
-            shared_used = max(shared_used, block.shared.used)
-        report = monitor.finalize() if monitor is not None else None
-        return ExecOutcome(blocks=blocks, shared_used=shared_used, report=report)
-
-    def _execute_segments(self, device, plan: LaunchPlan) -> ExecOutcome:
-        """Sequential reference loop for a segmented (batched) grid.
-
-        Each segment runs its blocks in ascending *local* id against
-        live global memory — byte-for-byte what a solo launch of that
-        segment would do, because segments touch disjoint buffers.  An
-        error inside a segment is captured into its
-        :class:`SegmentOutcome` (the solo launch would have raised it
-        after committing the partial state, which is exactly the state
-        this loop leaves behind) and execution continues with the next
-        segment.
-        """
         plan.validate_segments()
+        monitor = _make_monitor(plan)
         seg_outs = [SegmentOutcome() for _ in plan.segments]
         done = 0
-        for out, seg in zip(seg_outs, plan.segments):
+        progress: List[Tuple[int, int]] = []
+        for (start, _), out, seg in zip(plan.segment_spans(), seg_outs,
+                                        plan.segments):
             for local_id in range(seg.num_blocks):
                 if plan.deadline is not None and time.monotonic() >= plan.deadline:
                     if plan.faults is not None:
                         plan.faults.counters.timeouts += 1
-                    raise LaunchTimeout(
-                        f"launch watchdog expired after {done}/"
-                        f"{plan.num_blocks} blocks",
-                        blocks_done=done,
-                        num_blocks=plan.num_blocks,
-                    )
+                    raise _watchdog_expired(plan, done, progress)
                 block = ThreadBlock(
                     block_id=local_id,
                     num_threads=plan.threads_per_block,
@@ -346,30 +299,51 @@ class SerialExecutor:
                     args=plan.args,
                     num_blocks=seg.num_blocks,
                     max_rounds=plan.max_rounds,
+                    tracer=plan.tracer,
+                    detect_races=plan.detect_races and monitor is None,
+                    monitor=monitor,
+                    schedule_policy=plan.schedule_policy,
                     faults=plan.faults,
-                    fastpath=plan.fastpath,
                     engine=plan.engine,
                     jit_stats=plan.jit_stats,
                 )
                 try:
-                    out.blocks.append(block.run())
+                    counters = block.run()
                 except Exception as err:
-                    # The solo launch raises here; the batch demuxes the
-                    # error to its request and runs the other segments.
+                    if plan.solo and not _truncates(plan, err):
+                        raise
                     out.blocks.append(block.counters)
                     out.error = ErrorCapsule(err)
                     done += seg.num_blocks - local_id
                     break
+                out.blocks.append(counters)
                 out.shared_used = max(out.shared_used, block.shared.used)
+                progress.append((start + local_id, counters.rounds))
                 done += 1
         return ExecOutcome(
             blocks=[b for o in seg_outs for b in o.blocks],
             shared_used=max((o.shared_used for o in seg_outs), default=0),
+            report=monitor.finalize() if monitor is not None else None,
             segments=seg_outs,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialExecutor()"
+
+
+def _truncates(plan: LaunchPlan, err: BaseException) -> bool:
+    """A solo plan raises its segment's error, except a deadlock under a
+    report-mode sanitizer: that truncates the launch instead."""
+    return plan.report_mode and isinstance(err, DeadlockError)
+
+
+def _watchdog_expired(plan: LaunchPlan, done: int, progress) -> LaunchTimeout:
+    return LaunchTimeout(
+        f"launch watchdog expired after {done}/{plan.num_blocks} blocks",
+        blocks_done=done,
+        num_blocks=plan.num_blocks,
+        progress=progress,
+    )
 
 
 class ParallelExecutor:
@@ -464,20 +438,33 @@ class ParallelExecutor:
                         for b in ids]
 
             retry = plan.retry if plan.retry is not None else RetryPolicy()
-            harvest: Optional[list] = [] if ckpt is not None else None
+            harvest: list = []
             try:
+                try:
+                    shard_outcomes = fork_map(
+                        run_shard,
+                        shards,
+                        workers=workers,
+                        processes=processes,
+                        faults=plan.faults,
+                        retry=retry,
+                        deadline=plan.deadline,
+                        stats=stats,
+                        partial=harvest,
+                    )
+                except LaunchTimeout:
+                    # The pool counts shards; report blocks, as the
+                    # serial loop does.
+                    done = sorted(
+                        records + [r for _, shard in harvest for r in shard],
+                        key=lambda r: r.block_id,
+                    )
+                    raise _watchdog_expired(
+                        plan, len(done),
+                        [(r.block_id, r.counters.rounds) for r in done],
+                    ) from None
                 shard_err = None
-                for status, payload in fork_map(
-                    run_shard,
-                    shards,
-                    workers=workers,
-                    processes=processes,
-                    faults=plan.faults,
-                    retry=retry,
-                    deadline=plan.deadline,
-                    stats=stats,
-                    partial=harvest,
-                ):
+                for status, payload in shard_outcomes:
                     if status == "err":
                         # Per-block errors are captured inside records; a
                         # shard-level error means the machinery itself
@@ -487,18 +474,18 @@ class ParallelExecutor:
                     records.extend(payload)
                 if shard_err is not None:
                     shard_err.reraise()
-                outcome = self._merge(device, plan, records)
+                outcome = merge_records(device, plan, records)
             except BaseException:
                 if ckpt is not None:
                     # Harvest what did complete — the timeout sink's
                     # shards plus any fully collected records — so the
                     # next attempt resumes instead of starting over.
-                    for _, payload in harvest or ():
+                    for _, payload in harvest:
                         ckpt.add(payload)
                     ckpt.add(records)
                 raise
         else:
-            outcome = self._merge(device, plan, records)
+            outcome = merge_records(device, plan, records)
         outcome.blocks_resumed = len(resumed)
         outcome.blocks_replayed = len(records) - len(resumed)
         if any(stats.values()):
@@ -536,7 +523,6 @@ class ParallelExecutor:
                 schedule_policy=plan.schedule_policy,
                 recorder=rec,
                 faults=plan.faults,
-                fastpath=plan.fastpath,
                 engine=plan.engine,
                 jit_stats=plan.jit_stats,
             )
@@ -545,7 +531,6 @@ class ParallelExecutor:
             record.shared_used = int(block.shared.used)
         except BaseException as err:
             record.error = ErrorCapsule(err)
-            record.deadlock = isinstance(err, DeadlockError)
             record.counters = block.counters if block is not None else BlockCounters()
         finally:
             record.write_set, record.oplog = rec.extract()
@@ -557,10 +542,6 @@ class ParallelExecutor:
             if monitor is not None:
                 record.report = monitor.finalize()
         return record
-
-    # ------------------------------------------------------------------
-    def _merge(self, device, plan: LaunchPlan, records: List[BlockRecord]) -> ExecOutcome:
-        return merge_records(device, plan, records)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -576,75 +557,20 @@ def merge_records(device, plan: LaunchPlan, records: List[BlockRecord]) -> ExecO
     serve tier's warm-pool lease can feed records produced by persistent
     remote workers through the *identical* merge the in-process engine
     uses — one deterministic-merge implementation for every transport.
+
+    One pass serves every plan.  Within each segment the serial-cutoff
+    rule applies independently: the segment's lowest-id error is the
+    one the serial loop would have hit, and records past it are dropped
+    because those blocks never ran serially; other segments are
+    untouched.  The surviving records then apply in one
+    ascending-global-id pass, which equals running the segments
+    back-to-back because they touch disjoint buffers.  A solo plan
+    raises its segment's error after the partial state landed —
+    mirroring the serial loop, where every write before the raise is
+    already committed — except that a deadlock under a report-mode
+    sanitizer truncates the launch.
     """
     records.sort(key=lambda r: r.block_id)
-
-    if plan.segments is not None:
-        return _merge_segments(device, plan, records)
-
-    # Deterministic cutoff: the lowest-id error is the one the serial
-    # loop would have hit; nothing past it ever ran serially.
-    error_rec: Optional[BlockRecord] = None
-    applied = records
-    for i, r in enumerate(records):
-        if r.error is not None:
-            error_rec = r
-            applied = records[: i + 1]
-            break
-
-    gmem = device.gmem
-    if plan.config is not None and _sanitized_cross_block_sharing(applied):
-        # The serial launch runs ONE monitor across all blocks, so its
-        # happens-before analysis flags cross-block races; per-block
-        # monitors cannot see them.  Whenever blocks share a tracked
-        # cell in a potentially racing way, re-run serially so the
-        # finding set matches ground truth exactly.  (No state was
-        # applied yet — the snapshot is intact.)
-        return SerialExecutor().execute(device, plan)
-    if _apply_records(gmem, applied):
-        # Read validation failed: some block observed an atomic old
-        # value that cross-block interleaving changes, so its whole
-        # execution is suspect.  The rollback restored the pre-launch
-        # snapshot; re-execute the ground truth.
-        return SerialExecutor().execute(device, plan)
-    apply_deltas(plan.side_state, [r.side_deltas for r in applied])
-
-    # An error that serial execution would have raised re-raises here,
-    # after the partial state landed — mirroring the serial loop, where
-    # every write before the raise is already committed.  A deadlock
-    # under a report-mode sanitizer instead truncates the launch.
-    if error_rec is not None and not (error_rec.deadlock and plan.report_mode):
-        error_rec.error.reraise()
-
-    blocks = [r.counters for r in applied]
-    shared_used = max((r.shared_used for r in applied), default=0)
-    conflicts = _find_cross_block_conflicts(gmem, applied)
-
-    report = None
-    if plan.config is not None:
-        report = _merge_reports(plan, applied)
-        for finding in conflicts:
-            report.add(finding)
-    return ExecOutcome(
-        blocks=blocks,
-        shared_used=shared_used,
-        report=report,
-        cross_block_conflicts=len(conflicts),
-    )
-
-
-def _merge_segments(device, plan: LaunchPlan, records: List[BlockRecord]) -> ExecOutcome:
-    """Segmented merge: per-segment serial cutoff, one global apply pass.
-
-    Records arrive sorted by global block id.  Within each segment the
-    serial-cutoff rule applies independently — blocks past the segment's
-    lowest-id error never ran in the solo launch, so their records are
-    dropped — while *other* segments are untouched (solo launches of
-    unrelated requests cannot observe each other's failures).  The
-    surviving records then apply in one ascending-global-id pass, which
-    equals running the solo launches back-to-back because segments touch
-    disjoint buffers.
-    """
     spans = plan.segment_spans()
     seg_outs = [SegmentOutcome() for _ in spans]
     applied: List[BlockRecord] = []
@@ -664,13 +590,37 @@ def _merge_segments(device, plan: LaunchPlan, records: List[BlockRecord]) -> Exe
             out.error = r.error
             cut = True
 
-    if _apply_records(device.gmem, applied):
+    gmem = device.gmem
+    if plan.config is not None and _sanitized_cross_block_sharing(applied):
+        # The serial launch runs ONE monitor across all blocks, so its
+        # happens-before analysis flags cross-block races; per-block
+        # monitors cannot see them.  Whenever blocks share a tracked
+        # cell in a potentially racing way, re-run serially so the
+        # finding set matches ground truth exactly.  (No state was
+        # applied yet — the snapshot is intact.)
+        return SerialExecutor().execute(device, plan)
+    if _apply_records(gmem, applied):
+        # Read validation failed: some block observed an atomic old
+        # value that cross-block interleaving changes, so its whole
+        # execution is suspect.  The rollback restored the pre-launch
+        # snapshot; re-execute the ground truth.
         return SerialExecutor().execute(device, plan)
     apply_deltas(plan.side_state, [r.side_deltas for r in applied])
-    conflicts = _find_cross_block_conflicts(device.gmem, applied)
+    if plan.solo and seg_outs[0].error is not None:
+        err = seg_outs[0].error.rebuild()
+        if not _truncates(plan, err):
+            raise err
+
+    conflicts = _find_cross_block_conflicts(gmem, applied)
+    report = None
+    if plan.config is not None:
+        report = _merge_reports(plan, applied)
+        for finding in conflicts:
+            report.add(finding)
     return ExecOutcome(
         blocks=[r.counters for r in applied],
         shared_used=max((o.shared_used for o in seg_outs), default=0),
+        report=report,
         cross_block_conflicts=len(conflicts),
         segments=seg_outs,
     )

@@ -1,52 +1,57 @@
-"""A self-healing fork-based worker pool for embarrassingly parallel fan-out.
+"""Fork-based worker pools sharing one self-healing supervision loop.
 
 The simulator's work units — thread blocks, schedule-exploration seeds —
 close over generator functions, device objects, and live NumPy buffers,
 none of which survive pickling.  ``fork`` sidesteps that entirely: each
 worker is a forked child that *inherits* the parent's full state
-(copy-on-write), runs its chunk of tasks, and ships only the **results**
-back over a pipe.  Results must therefore be picklable; the task
-callables need not be.
+(copy-on-write), runs the chunks of tasks it is sent, and ships only the
+**results** back over a pipe.  Results must therefore be picklable; the
+runner callable need not be.
 
-:func:`fork_map` is deliberately deterministic: tasks are split into
-contiguous chunks, one worker per chunk, and results are returned in
-task order regardless of which worker finished first.  A task that
-raises is returned as an :class:`~repro.exec.record.ErrorCapsule` in its
-slot rather than aborting the whole map — callers decide what an error
-in slot *i* means (for block shards: "serial execution would have
+:class:`WorkerPool` owns the one dispatch/collect/retry/degrade loop.
+Tasks are split into contiguous chunks, one per worker, and results are
+returned in task order regardless of which worker finished first.  A
+task that raises is returned as an :class:`~repro.exec.record.ErrorCapsule`
+in its slot rather than aborting the whole map — callers decide what an
+error in slot *i* means (for block shards: "serial execution would have
 stopped here").
 
 Worker *processes*, on the other hand, can die or wedge — naturally
 (OOM-killed, a segfaulting extension) or injected by a
 :class:`repro.faults.FaultPlan` at the ``worker.crash``/``worker.hang``
-sites.  The pool recovers instead of aborting (the recovery ladder,
-governed by :class:`RetryPolicy`):
+sites, which a worker consults once per dispatched chunk with
+coordinates ``chunk`` (the chunk's first task index) and ``attempt``.
+The loop recovers instead of aborting (the recovery ladder, governed by
+:class:`RetryPolicy`):
 
-1. failed chunks are **retried** with capped exponential backoff, their
-   task indices **redistributed** across a fresh set of forked workers;
-2. after ``max_retries`` rounds the survivors' results are kept and the
-   still-missing tasks **degrade to in-process** serial execution, which
-   cannot suffer worker faults — the map always completes;
-3. only with ``recover=False`` does the old behaviour return: a
-   :class:`WorkerError` naming each dead worker's exit code or signal.
+1. failed chunks are **retried** with capped, jittered exponential
+   backoff, their task indices **redistributed** across the surviving
+   and respawned workers;
+2. after ``max_retries`` rounds the still-missing tasks **degrade to
+   in-process** execution, which cannot suffer worker faults — the map
+   always completes.
 
-A ``deadline`` (absolute :func:`time.monotonic` value) turns the pool
-into a launch watchdog: expiry kills outstanding workers and raises
-:class:`~repro.errors.LaunchTimeout` with progress counts.
+A ``deadline`` (absolute :func:`time.monotonic` value) turns the map
+into a launch watchdog, checked before each dispatch round, while
+waiting on workers, and before each in-process task: expiry kills
+outstanding workers and raises :class:`~repro.errors.LaunchTimeout`
+with progress counts.
 
-On platforms without ``fork`` (or when ``workers <= 1``) the map runs
-in-process with identical semantics, so results never depend on the
-transport.
+Two lifetimes run through that loop:
 
-:func:`fork_map` is the *per-launch* pool: children fork, run, and die
-with each call.  :class:`WorkerPool` is the *persistent warm* pool the
-serve tier (:mod:`repro.serve`) schedules onto: workers fork once,
-stay resident across launches, are health-checked and respawned on
-loss, and run picklable payloads through a runner fixed at spawn time.
-It reuses the same retry/redistribute/degrade ladder and the same
-``worker.crash``/``worker.hang`` fault sites.  Warm pools must be
-closed (``close()``, a ``with`` block, or the module's atexit sweep)
-so forked children never outlive the interpreter.
+* :func:`fork_map` is the *per-launch* pool: a one-shot
+  :class:`WorkerPool` over task *indices* whose runner is
+  ``i -> fn(tasks[i])``, so tasks reach the children by fork
+  inheritance, never by pickling; it is closed on every exit path.
+  With one worker, ``processes=False``, or no ``fork`` on the platform
+  it runs in-process with identical semantics, so results never depend
+  on the transport.
+* a :class:`WorkerPool` held open is the *persistent warm* pool the
+  serve tier (:mod:`repro.serve`) schedules onto: workers fork once,
+  stay resident across maps, are health-checked and respawned on loss,
+  and see only the picklable payloads they are sent.  Warm pools must
+  be closed (``close()``, a ``with`` block, or the module's atexit
+  sweep) so forked children never outlive the interpreter.
 
 Block shards inherit the scheduler's engine selection unchanged: a
 hook-free launch runs each shard on the fast round engine even inside a
@@ -70,18 +75,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import LaunchTimeout, SimulationError
+from repro.errors import LaunchTimeout
 from repro.exec.record import ErrorCapsule
-
-
-class WorkerError(SimulationError):
-    """A worker process died without delivering its results.
-
-    Raised only when recovery is disabled (``recover=False``) or by the
-    legacy single-shot path; the default pool retries, redistributes,
-    and degrades in-process instead.  The message names each failed
-    chunk's task range and its worker's exit code or fatal signal.
-    """
 
 
 #: Exit code used by injected worker crashes (distinctive in diagnostics).
@@ -90,6 +85,9 @@ INJECTED_CRASH_EXIT = 86
 #: How long an injected hang sleeps; the parent reaps it long before.
 _HANG_SLEEP = 3600.0
 
+#: Default cap on the auto-detected worker count.
+MAX_AUTO_WORKERS = 8
+
 #: Hang watchdog applied when a fault plan is attached but the policy
 #: does not set one — keeps injected hangs from stalling the suite.
 DEFAULT_FAULT_HANG_TIMEOUT = 1.5
@@ -97,7 +95,7 @@ DEFAULT_FAULT_HANG_TIMEOUT = 1.5
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Recovery knobs for :func:`fork_map`.
+    """Recovery knobs for :class:`WorkerPool` and :func:`fork_map`.
 
     ``max_retries`` bounds redistribution rounds (not counting the final
     in-process degradation).  Backoff before retry round *k* is
@@ -180,284 +178,8 @@ def _chunk(n_tasks: int, workers: int) -> List[range]:
     return chunks
 
 
-def _run_chunk(fn: Callable, tasks: Sequence, chunk: Sequence[int]) -> List[tuple]:
-    out = []
-    for i in chunk:
-        try:
-            out.append((i, "ok", fn(tasks[i])))
-        except BaseException as exc:  # ship, don't kill the chunk
-            out.append((i, "err", ErrorCapsule(exc)))
-    return out
-
-
-def _child_main(conn, fn: Callable, tasks: Sequence, chunk: Sequence[int],
-                faults=None, attempt: int = 0) -> None:
-    """Forked-child entry: run the chunk, ship results, exit *hard*.
-
-    ``os._exit`` matters: the child inherited the parent's interpreter
-    state (pytest hooks, atexit handlers, open benchmark sessions) and
-    must not run any of it on the way out.  Fault injection happens here,
-    before any work: a fired ``worker.crash`` dies with
-    :data:`INJECTED_CRASH_EXIT`, a fired ``worker.hang`` sleeps until
-    the parent's watchdog reaps it.  The parent re-evaluates the same
-    (stateless) predicates for provenance.
-    """
-    code = 0
-    try:
-        if faults is not None and len(chunk):
-            coords = {"chunk": int(chunk[0]), "attempt": attempt}
-            # Hang before crash: a plan arming both (the campaign's
-            # ``--hang`` leg) pins the hang to one chunk and must not
-            # have the broader crash predicate mask it.
-            if faults.fires("worker.hang", **coords) is not None:
-                time.sleep(_HANG_SLEEP)
-            if faults.fires("worker.crash", **coords) is not None:
-                os._exit(INJECTED_CRASH_EXIT)
-        results = _run_chunk(fn, tasks, chunk)
-        try:
-            conn.send(results)
-        except Exception as exc:  # an unpicklable *result* slipped through
-            conn.send([(i, "err", ErrorCapsule(exc)) for i in chunk])
-    except BaseException:
-        code = 1
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-        os._exit(code)
-
-
-def _deadline_timeout(msg_done: int, n_tasks: int) -> LaunchTimeout:
-    return LaunchTimeout(
-        f"launch watchdog expired with {msg_done}/{n_tasks} work chunks done",
-        blocks_done=msg_done,
-        num_blocks=n_tasks,
-    )
-
-
-def fork_map(
-    fn: Callable,
-    tasks: Sequence,
-    workers: Optional[int] = None,
-    processes: bool = True,
-    *,
-    faults=None,
-    retry: Optional[RetryPolicy] = None,
-    deadline: Optional[float] = None,
-    recover: bool = True,
-    stats: Optional[dict] = None,
-    partial: Optional[list] = None,
-) -> List[Tuple[str, object]]:
-    """Run ``fn`` over ``tasks`` across forked workers; ordered outcomes.
-
-    Returns one ``("ok", result)`` or ``("err", ErrorCapsule)`` pair per
-    task, in task order.  ``workers=None`` uses one worker per available
-    CPU (capped at 8); ``processes=False`` forces the in-process path.
-
-    Keyword-only recovery surface: ``faults`` is an optional
-    :class:`repro.faults.FaultPlan` consulted at the worker hook sites;
-    ``retry`` a :class:`RetryPolicy`; ``deadline`` an absolute
-    :func:`time.monotonic` watchdog; ``recover=False`` restores the
-    legacy raise-on-death behaviour; ``stats`` (a dict) receives the
-    :data:`STAT_KEYS` counts for observability.
-
-    ``partial`` (a list) is the checkpoint harvest sink: when the
-    watchdog raises :class:`~repro.errors.LaunchTimeout` mid-map, the
-    ``("ok", result)`` outcomes already collected are appended to it
-    before the raise, so callers can checkpoint completed work instead
-    of discarding it (see :mod:`repro.faults.checkpoint`).
-    """
-    tasks = list(tasks)
-    if stats is not None:
-        for key in STAT_KEYS:
-            stats.setdefault(key, 0)
-    if not tasks:
-        return []
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    workers = max(1, min(int(workers), len(tasks)))
-    policy = retry if retry is not None else RetryPolicy()
-
-    if workers == 1 or not processes or not fork_available():
-        if deadline is None:
-            flat = _run_chunk(fn, tasks, range(len(tasks)))
-        else:
-            flat = []
-            for i in range(len(tasks)):
-                if time.monotonic() >= deadline:
-                    if faults is not None:
-                        faults.counters.timeouts += 1
-                    if partial is not None:
-                        partial.extend((s, p) for _, s, p in flat
-                                       if s == "ok")
-                    raise _deadline_timeout(i, len(tasks))
-                flat.extend(_run_chunk(fn, tasks, (i,)))
-        return [(status, payload) for _, status, payload in flat]
-
-    ctx = multiprocessing.get_context("fork")
-    outcomes: List[Optional[Tuple[str, object]]] = [None] * len(tasks)
-    hang = policy.hang_timeout
-    if hang is None and faults is not None:
-        hang = DEFAULT_FAULT_HANG_TIMEOUT
-
-    def spawn(chunks: List[Sequence[int]], attempt: int):
-        children = []
-        for chunk in chunks:
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_child_main,
-                args=(send_end, fn, tasks, chunk, faults, attempt),
-            )
-            proc.daemon = True
-            proc.start()
-            send_end.close()
-            # The hang clock starts at spawn, not at first poll, so the
-            # watchdogs of several hung workers expire concurrently.
-            children.append((proc, recv_end, chunk, time.monotonic()))
-        return children
-
-    def reap(children) -> None:
-        for proc, recv_end, _, _ in children:
-            try:
-                recv_end.close()
-            except Exception:
-                pass
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-
-    def collect(children, attempt: int):
-        """Drain every child; returns [(chunk, why, exitcode)] failures."""
-        failed = []
-        for pos, (proc, recv_end, chunk, started) in enumerate(children):
-            why = None
-            rows = None
-            try:
-                while rows is None and why is None:
-                    budgets = []
-                    if hang is not None:
-                        budgets.append(hang - (time.monotonic() - started))
-                    if deadline is not None:
-                        budgets.append(deadline - time.monotonic())
-                    try:
-                        if not budgets:
-                            rows = recv_end.recv()
-                        elif recv_end.poll(max(0.0, min(budgets))):
-                            rows = recv_end.recv()
-                    except EOFError:
-                        why = "died"
-                        break
-                    if rows is not None or why is not None:
-                        break
-                    now = time.monotonic()
-                    if deadline is not None and now >= deadline:
-                        reap(children[pos:])
-                        if faults is not None:
-                            faults.counters.timeouts += 1
-                        done = sum(1 for o in outcomes if o is not None)
-                        raise _deadline_timeout(done, len(tasks))
-                    if hang is not None and now - started >= hang:
-                        why = "hung"
-            finally:
-                if why is None and rows is None:
-                    pass  # LaunchTimeout path already reaped
-                else:
-                    try:
-                        recv_end.close()
-                    except Exception:
-                        pass
-            if rows is not None:
-                for i, status, payload in rows:
-                    outcomes[i] = (status, payload)
-                proc.join()
-                continue
-            if why == "hung":
-                proc.terminate()
-            proc.join()
-            failed.append((list(chunk), why, proc.exitcode))
-            if stats is not None:
-                key = "worker_deaths" if why == "died" else "worker_hangs"
-                stats[key] += 1
-            if faults is not None:
-                site = "worker.crash" if why == "died" else "worker.hang"
-                coords = {"chunk": int(chunk[0]), "attempt": attempt}
-                if faults.fires(site, **coords) is not None:
-                    faults.record(site, coords, recovered=recover,
-                                  detail=describe_exit(proc.exitcode))
-        return failed
-
-    def guarded_collect(children, attempt: int):
-        """Collect, reaping every child if the drain itself blows up.
-
-        The normal paths join each child as it is processed (and the
-        watchdog path reaps the tail), but an unexpected exception —
-        KeyboardInterrupt mid-``recv``, an unpicklable surprise — used
-        to leak live forked children.  ``reap`` is idempotent, so the
-        double-reap on the LaunchTimeout path is harmless.
-        """
-        try:
-            return collect(children, attempt)
-        except BaseException:
-            reap(children)
-            raise
-
-    chunks: List[Sequence[int]] = list(_chunk(len(tasks), workers))
-    attempt = 0
-    try:
-        failed = guarded_collect(spawn(chunks, attempt), attempt)
-
-        while failed and attempt < policy.max_retries:
-            delay = retry_delay(policy, attempt, faults=faults,
-                                salt=(len(tasks), failed[0][0][0]))
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
-            indices = sorted(i for chunk, _, _ in failed for i in chunk)
-            sub = _chunk(len(indices), workers)
-            chunks = [[indices[p] for p in r] for r in sub if len(r)]
-            if stats is not None:
-                stats["chunk_retries"] += len(failed)
-                stats["retry_rounds"] += 1
-                if len(chunks) != len(failed):
-                    stats["redistributions"] += 1
-            if faults is not None:
-                faults.counters.chunk_retries += len(failed)
-            failed = guarded_collect(spawn(chunks, attempt), attempt)
-    except LaunchTimeout:
-        if partial is not None:
-            partial.extend(o for o in outcomes
-                           if o is not None and o[0] == "ok")
-        raise
-
-    if failed:
-        if not recover:
-            parts = []
-            for chunk, why, code in failed:
-                parts.append(
-                    f"tasks {chunk[0]}..{chunk[-1]} {why} "
-                    f"({describe_exit(code)})"
-                )
-            raise WorkerError(
-                "worker process(es) failed before delivering results: "
-                + "; ".join(parts)
-            )
-        # Degradation floor: run the still-missing tasks in-process.
-        # Worker faults cannot fire here (they live in the forked child's
-        # entry), so the map is guaranteed to complete.
-        remaining = sorted(i for chunk, _, _ in failed for i in chunk)
-        if stats is not None:
-            stats["degraded_chunks"] += len(failed)
-            stats["degraded_tasks"] += len(remaining)
-        if faults is not None:
-            faults.counters.degradations += 1
-        for i, status, payload in _run_chunk(fn, tasks, remaining):
-            outcomes[i] = (status, payload)
-    return outcomes  # type: ignore[return-value]
-
-
 # ---------------------------------------------------------------------------
-# Persistent warm worker pool
+# The worker pool
 # ---------------------------------------------------------------------------
 
 #: Stats keys :meth:`WorkerPool.map` maintains in a caller-supplied dict
@@ -465,8 +187,7 @@ def fork_map(
 POOL_STAT_KEYS = STAT_KEYS + ("worker_respawns", "warm_dispatches")
 
 #: Live pools swept at interpreter exit so warm workers never outlive
-#: the parent (the per-launch ``fork_map`` children are daemons joined
-#: in-band; persistent pools need the explicit sweep).
+#: the parent (:func:`fork_map` closes its one-shot pool in-band).
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
 _SWEEP_REGISTERED = False
 _SWEEP_LOCK = threading.Lock()
@@ -489,7 +210,7 @@ def _register_sweep() -> None:
 
 
 def _pool_worker_main(conn, runner: Callable, faults) -> None:
-    """Forked warm-worker entry: serve commands until told to stop.
+    """Forked-worker entry: serve commands until told to stop.
 
     Commands over the duplex pipe:
 
@@ -498,13 +219,14 @@ def _pool_worker_main(conn, runner: Callable, faults) -> None:
       ``runner`` and answer ``("done", [(i, status, result), ...])``;
     * ``("stop",)`` — exit cleanly.
 
-    Fault injection mirrors the per-launch pool: the ``worker.hang`` /
-    ``worker.crash`` sites are consulted per task with
-    ``{"chunk": task_index, "attempt": attempt}`` coordinates, so the
-    same seeded plans (and the parent's provenance re-evaluation) work
-    unchanged on the warm path.  Exits via ``os._exit`` for the same
-    reason :func:`_child_main` does: the child inherited the parent's
-    interpreter state and must not run its atexit/pytest machinery.
+    Fault injection happens once per chunk, before any of its work, with
+    coordinates ``{"chunk": first task index, "attempt": attempt}``: a
+    fired ``worker.crash`` dies with :data:`INJECTED_CRASH_EXIT`, a fired
+    ``worker.hang`` sleeps until the parent's watchdog reaps it.  The
+    parent re-evaluates the same (stateless) predicates for provenance.
+    Exits via ``os._exit``: the child inherited the parent's interpreter
+    state (pytest hooks, atexit handlers, open benchmark sessions) and
+    must not run any of it on the way out.
     """
     code = 0
     try:
@@ -520,17 +242,20 @@ def _pool_worker_main(conn, runner: Callable, faults) -> None:
                 conn.send(("pong", msg[1]))
                 continue
             _, attempt, items = msg
+            if faults is not None and items:
+                coords = {"chunk": int(items[0][0]), "attempt": int(attempt)}
+                # Hang before crash: a plan arming both (the campaign's
+                # ``--hang`` leg) pins the hang to one chunk and must not
+                # have the broader crash predicate mask it.
+                if faults.fires("worker.hang", **coords) is not None:
+                    time.sleep(_HANG_SLEEP)
+                if faults.fires("worker.crash", **coords) is not None:
+                    os._exit(INJECTED_CRASH_EXIT)
             out = []
             for i, payload in items:
-                if faults is not None:
-                    coords = {"chunk": int(i), "attempt": int(attempt)}
-                    if faults.fires("worker.hang", **coords) is not None:
-                        time.sleep(_HANG_SLEEP)
-                    if faults.fires("worker.crash", **coords) is not None:
-                        os._exit(INJECTED_CRASH_EXIT)
                 try:
                     out.append((i, "ok", runner(payload)))
-                except BaseException as exc:
+                except BaseException as exc:  # ship, don't kill the chunk
                     out.append((i, "err", ErrorCapsule(exc)))
             try:
                 conn.send(("done", out))
@@ -547,8 +272,20 @@ def _pool_worker_main(conn, runner: Callable, faults) -> None:
         os._exit(code)
 
 
+def _watchdog_expired(faults, outcomes: list) -> LaunchTimeout:
+    """The watchdog's :class:`~repro.errors.LaunchTimeout`, counted once."""
+    if faults is not None:
+        faults.counters.timeouts += 1
+    done = sum(1 for o in outcomes if o is not None)
+    return LaunchTimeout(
+        f"launch watchdog expired with {done}/{len(outcomes)} tasks done",
+        blocks_done=done,
+        num_blocks=len(outcomes),
+    )
+
+
 class _PoolWorker:
-    """Parent-side handle on one warm worker process."""
+    """Parent-side handle on one worker process."""
 
     __slots__ = ("proc", "conn", "slot", "busy_since")
 
@@ -574,39 +311,61 @@ class _PoolWorker:
             self.proc.terminate()
         self.proc.join()
 
+    def collect(self, hang: Optional[float], deadline: Optional[float]):
+        """Wait for the dispatched chunk: ``(rows, None)`` on delivery,
+        else ``(None, why)`` with ``why`` one of ``"died"``, ``"hung"``,
+        or ``"late"`` (the deadline passed first).  The hang clock
+        started at dispatch, so several hung workers expire together."""
+        while True:
+            budgets = []
+            if hang is not None:
+                budgets.append(hang - (time.monotonic() - self.busy_since))
+            if deadline is not None:
+                budgets.append(deadline - time.monotonic())
+            try:
+                if not budgets or self.conn.poll(max(0.0, min(budgets))):
+                    return self.conn.recv()[1], None
+            except EOFError:
+                return None, "died"
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
+                return None, "late"
+            if hang is not None and now - self.busy_since >= hang:
+                return None, "hung"
+
 
 class WorkerPool:
-    """A persistent, health-checked pool of warm forked workers.
+    """A health-checked pool of forked workers: the one supervision loop.
 
-    Unlike :func:`fork_map` — which forks a fresh set of children for
-    every call — a :class:`WorkerPool` forks its workers **once** and
-    reuses them across an arbitrary number of :meth:`map` calls: the
-    serve tier's "workers stay warm across launches" requirement.  The
-    trade-off is explicit: warm workers inherit the parent's state *at
-    spawn time*, so the ``runner`` callable (fixed at construction,
-    inherited by fork) must derive everything request-specific from the
-    **picklable payload** it receives — it cannot see parent state
-    created after the fork.
+    Workers fork on first use and are reused across any number of
+    :meth:`map` calls — the serve tier's "workers stay warm across
+    launches" requirement (:func:`fork_map` runs a one-shot pool per
+    call instead).  Workers inherit the parent's state *at spawn time*,
+    so the ``runner`` callable (fixed at construction, inherited by
+    fork) must derive everything request-specific from the **picklable
+    payload** it receives — it cannot see parent state created after
+    the fork.
 
-    The PR 3 recovery ladder carries over intact:
+    The recovery ladder (see the module docstring):
 
     1. a worker that dies or hangs mid-chunk is killed, its tasks are
        retried with capped exponential backoff and **redistributed**
-       across the surviving (and freshly **respawned**) workers;
+       across the surviving and freshly **respawned** workers;
     2. after ``retry.max_retries`` rounds the still-missing tasks
        **degrade to in-process** execution of ``runner`` — the map
        always completes;
-    3. the ``worker.crash``/``worker.hang`` fault sites fire exactly as
-       on the per-launch pool (coordinates ``chunk``/``attempt``), with
-       the plan captured at construction so forked children and parent
+    3. the ``worker.crash``/``worker.hang`` fault sites fire once per
+       dispatched chunk (coordinates ``chunk``/``attempt``), with the
+       plan captured at construction so forked children and parent
        agree on the schedule.
 
     Health-checked reuse: :meth:`ensure` (called before every dispatch)
     respawns any worker whose process has died since the last call, so
     a pool survives sporadic worker loss under sustained load without
-    ever being rebuilt wholesale.  Pools must be closed — ``close()``,
-    a ``with`` block, or the module's atexit sweep — so warm children
-    never outlive the interpreter.
+    ever being rebuilt wholesale.  Without processes (``processes=False``
+    or no ``fork``) every map runs in-process.  Pools must be closed —
+    ``close()``, a ``with`` block, or the module's atexit sweep — so
+    forked children never outlive the interpreter.
     """
 
     def __init__(
@@ -621,7 +380,7 @@ class WorkerPool:
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.runner = runner
-        self.workers = workers or min(os.cpu_count() or 1, 8)
+        self.workers = workers or min(os.cpu_count() or 1, MAX_AUTO_WORKERS)
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
         if processes is None:
@@ -705,6 +464,13 @@ class WorkerPool:
                 live.append(w)
         return live
 
+    def _drop(self, w: _PoolWorker) -> None:
+        """Kill ``w`` and free its slot for :meth:`ensure` to respawn."""
+        w.kill()
+        with self._lock:
+            if self._slots[w.slot] is w:
+                self._slots[w.slot] = None
+
     # -- dispatch ----------------------------------------------------------
     def map(
         self,
@@ -713,121 +479,81 @@ class WorkerPool:
         deadline: Optional[float] = None,
         stats: Optional[dict] = None,
     ) -> List[Tuple[str, object]]:
-        """Run ``runner`` over ``payloads`` on the warm workers.
+        """Run ``runner`` over ``payloads``; ordered outcomes.
 
-        Returns ordered ``("ok", result)`` / ``("err", ErrorCapsule)``
-        pairs exactly like :func:`fork_map`.  ``stats`` (optional dict)
+        Returns one ``("ok", result)`` or ``("err", ErrorCapsule)`` pair
+        per payload, in payload order.  ``deadline`` is an absolute
+        :func:`time.monotonic` watchdog.  ``stats`` (optional dict)
         receives :data:`POOL_STAT_KEYS` increments; the pool's own
         cumulative :attr:`stats` is always maintained.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         payloads = list(payloads)
-        sinks = [self.stats] + ([stats] if stats is not None else [])
         if stats is not None:
             for key in POOL_STAT_KEYS:
                 stats.setdefault(key, 0)
-        if not payloads:
-            return []
+        outcomes: List[Optional[Tuple[str, object]]] = [None] * len(payloads)
+        self._supervise(payloads, outcomes, deadline, stats)
+        return outcomes  # type: ignore[return-value]
 
-        n = len(payloads)
-        outcomes: List[Optional[Tuple[str, object]]] = [None] * n
-        hang = self.retry.hang_timeout
-        if hang is None and self.faults is not None:
-            hang = DEFAULT_FAULT_HANG_TIMEOUT
+    def _supervise(self, payloads: Sequence, outcomes: list,
+                   deadline: Optional[float], stats: Optional[dict] = None) -> None:
+        """The dispatch/collect/retry/degrade loop behind :meth:`map`.
+
+        Fills ``outcomes`` in place, so a caller can harvest the slots
+        already delivered when the watchdog raises.
+        """
+        sinks = [self.stats] + ([stats] if stats is not None else [])
 
         def bump(key: str, inc: int = 1) -> None:
             for sink in sinks:
                 sink[key] += inc
 
-        def run_local(indices: Sequence[int]) -> None:
-            for i in indices:
-                if deadline is not None and time.monotonic() >= deadline:
-                    if self.faults is not None:
-                        self.faults.counters.timeouts += 1
-                    done = sum(1 for o in outcomes if o is not None)
-                    raise _deadline_timeout(done, n)
-                try:
-                    outcomes[i] = ("ok", self.runner(payloads[i]))
-                except BaseException as exc:
-                    outcomes[i] = ("err", ErrorCapsule(exc))
-
+        n = len(payloads)
+        hang = self.retry.hang_timeout
+        if hang is None and self.faults is not None:
+            hang = DEFAULT_FAULT_HANG_TIMEOUT
         pending = list(range(n))
+        failed: List[List[int]] = []
         attempt = 0
         while pending and self.processes and not self._closed:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise _watchdog_expired(self.faults, outcomes)
             workers = self.ensure()
-            if not workers:
-                break
             bump("warm_dispatches")
-            chunks = _chunk(len(pending), len(workers))
             assignments = []  # (worker, [task indices])
-            for w, r in zip(workers, chunks):
-                if not len(r):
-                    continue
+            for w, r in zip(workers, _chunk(len(pending), len(workers))):
                 indices = [pending[p] for p in r]
                 try:
                     w.conn.send(
                         ("run", attempt, [(i, payloads[i]) for i in indices])
                     )
                     w.busy_since = time.monotonic()
-                    assignments.append((w, indices))
                 except Exception:
                     # Died between health check and dispatch: retry round.
-                    w.kill()
-                    with self._lock:
-                        if self._slots[w.slot] is w:
-                            self._slots[w.slot] = None
-                    assignments.append((w, indices))
+                    self._drop(w)
                     w.busy_since = None
+                assignments.append((w, indices))
 
-            failed: List[List[int]] = []
+            failed = []
             for pos, (w, indices) in enumerate(assignments):
                 if w.busy_since is None:  # dispatch itself failed
                     failed.append(indices)
                     bump("worker_deaths")
                     continue
-                why = None
-                rows = None
-                while rows is None and why is None:
-                    budgets = []
-                    if hang is not None:
-                        budgets.append(hang - (time.monotonic() - w.busy_since))
-                    if deadline is not None:
-                        budgets.append(deadline - time.monotonic())
-                    try:
-                        if not budgets:
-                            rows = w.conn.recv()
-                        elif w.conn.poll(max(0.0, min(budgets))):
-                            rows = w.conn.recv()
-                    except EOFError:
-                        why = "died"
-                        break
-                    if rows is not None or why is not None:
-                        break
-                    now = time.monotonic()
-                    if deadline is not None and now >= deadline:
-                        for ww, _ in assignments[pos:]:
-                            ww.kill()
-                            with self._lock:
-                                if self._slots[ww.slot] is ww:
-                                    self._slots[ww.slot] = None
-                        if self.faults is not None:
-                            self.faults.counters.timeouts += 1
-                        done = sum(1 for o in outcomes if o is not None)
-                        raise _deadline_timeout(done, n)
-                    if hang is not None and now - w.busy_since >= hang:
-                        why = "hung"
+                rows, why = w.collect(hang, deadline)
                 if rows is not None:
                     w.busy_since = None
-                    for i, status, payload in rows[1]:
+                    for i, status, payload in rows:
                         outcomes[i] = (status, payload)
                     continue
+                if why == "late":
+                    for late, _ in assignments[pos:]:
+                        self._drop(late)
+                    raise _watchdog_expired(self.faults, outcomes)
                 # Worker died or hung mid-chunk: reap it, queue a retry.
-                exitcode = w.proc.exitcode
-                w.kill()
-                with self._lock:
-                    if self._slots[w.slot] is w:
-                        self._slots[w.slot] = None
+                self._drop(w)
                 failed.append(indices)
                 bump("worker_deaths" if why == "died" else "worker_hangs")
                 if self.faults is not None:
@@ -836,38 +562,100 @@ class WorkerPool:
                     if self.faults.fires(site, **coords) is not None:
                         self.faults.record(
                             site, coords, recovered=True,
-                            detail=describe_exit(exitcode),
+                            detail=describe_exit(w.proc.exitcode),
                         )
 
             pending = sorted(i for indices in failed for i in indices)
-            if not pending:
-                return outcomes  # type: ignore[return-value]
-            if attempt >= self.retry.max_retries:
+            if not pending or attempt >= self.retry.max_retries:
                 break
             bump("chunk_retries", len(failed))
             bump("retry_rounds")
-            bump("redistributions")
+            if min(len(pending), self.workers) != len(failed):
+                bump("redistributions")
             if self.faults is not None:
                 self.faults.counters.chunk_retries += len(failed)
             delay = retry_delay(self.retry, attempt, faults=self.faults,
-                                salt=(len(payloads), pending[0]))
+                                salt=(n, pending[0]))
             if delay > 0:
                 time.sleep(delay)
             attempt += 1
 
-        if pending:
+        if pending and failed:
             # Degradation floor: in-process execution cannot suffer worker
             # faults, so the map always completes.
-            if self.processes and not self._closed:
-                bump("degraded_chunks")
-                bump("degraded_tasks", len(pending))
-                if self.faults is not None:
-                    self.faults.counters.degradations += 1
-            run_local(pending)
-        return outcomes  # type: ignore[return-value]
+            bump("degraded_chunks", len(failed))
+            bump("degraded_tasks", len(pending))
+            if self.faults is not None:
+                self.faults.counters.degradations += 1
+        for i in pending:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise _watchdog_expired(self.faults, outcomes)
+            try:
+                outcomes[i] = ("ok", self.runner(payloads[i]))
+            except BaseException as exc:
+                outcomes[i] = ("err", ErrorCapsule(exc))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"WorkerPool(workers={self.workers}, processes={self.processes}, "
             f"live={len(self.pids())}, closed={self._closed})"
         )
+
+
+def fork_map(
+    fn: Callable,
+    tasks: Sequence,
+    workers: Optional[int] = None,
+    processes: bool = True,
+    *,
+    faults=None,
+    retry: Optional[RetryPolicy] = None,
+    deadline: Optional[float] = None,
+    stats: Optional[dict] = None,
+    partial: Optional[list] = None,
+) -> List[Tuple[str, object]]:
+    """Run ``fn`` over ``tasks`` on a one-shot :class:`WorkerPool`.
+
+    Returns one ``("ok", result)`` or ``("err", ErrorCapsule)`` pair per
+    task, in task order.  ``workers=None`` uses one worker per available
+    CPU (capped at :data:`MAX_AUTO_WORKERS`); one worker or
+    ``processes=False`` runs in-process without forking.  The pool's
+    payloads are task *indices* and its runner is ``i -> fn(tasks[i])``,
+    so neither ``fn`` nor the tasks are pickled: the forked children
+    inherit them.  The pool is closed on every exit path.
+
+    ``faults`` (a :class:`repro.faults.FaultPlan` consulted at the
+    worker hook sites), ``retry`` (a :class:`RetryPolicy`) and
+    ``deadline`` (an absolute :func:`time.monotonic` watchdog) configure
+    the pool; ``stats`` (a dict) receives the :data:`STAT_KEYS` counts.
+
+    ``partial`` (a list) is the checkpoint harvest sink: when the
+    watchdog raises :class:`~repro.errors.LaunchTimeout` mid-map, the
+    ``("ok", result)`` outcomes already collected are appended to it
+    before the raise, so callers can checkpoint completed work instead
+    of discarding it (see :mod:`repro.faults.checkpoint`).
+    """
+    tasks = list(tasks)
+    if stats is not None:
+        for key in STAT_KEYS:
+            stats.setdefault(key, 0)
+    if not tasks:
+        return []
+    if workers is None:
+        workers = min(os.cpu_count() or 1, MAX_AUTO_WORKERS)
+    workers = max(1, min(int(workers), len(tasks)))
+    pool = WorkerPool(lambda i: fn(tasks[i]), workers, faults=faults,
+                      retry=retry, processes=bool(processes) and workers > 1)
+    outcomes: List[Optional[Tuple[str, object]]] = [None] * len(tasks)
+    try:
+        pool._supervise(range(len(tasks)), outcomes, deadline)
+    except LaunchTimeout:
+        if partial is not None:
+            partial.extend(o for o in outcomes if o is not None and o[0] == "ok")
+        raise
+    finally:
+        pool.close()
+        if stats is not None:
+            for key in STAT_KEYS:
+                stats[key] += pool.stats[key]
+    return outcomes  # type: ignore[return-value]

@@ -264,5 +264,3 @@ class BlockRecord:
     side_deltas: Tuple[Dict[str, float], ...] = ()
     #: Exception the block raised, if any.
     error: Optional[ErrorCapsule] = None
-    #: True when ``error`` is a DeadlockError (drives report-mode halting).
-    deadlock: bool = False

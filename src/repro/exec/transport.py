@@ -74,7 +74,6 @@ def _encode(rec: BlockRecord, dtypes: Dict[int, np.dtype]) -> dict:
         "live_allocs": rec.live_allocs,
         "side_deltas": rec.side_deltas,
         "error": rec.error,
-        "deadlock": rec.deadlock,
     }
 
 
@@ -97,7 +96,6 @@ def _decode(state: dict) -> BlockRecord:
         live_allocs=state["live_allocs"],
         side_deltas=state["side_deltas"],
         error=state["error"],
-        deadlock=state["deadlock"],
     )
 
 

@@ -133,7 +133,6 @@ class ThreadBlock:
         schedule_policy=None,
         recorder=None,
         faults=None,
-        fastpath: Optional[bool] = None,
         engine: Optional[str] = None,
         jit_stats=None,
     ) -> None:
@@ -186,21 +185,17 @@ class ThreadBlock:
         #: shared across the launch's blocks; None outside the jit engine.
         self.jit_stats = jit_stats
         # Engine selection.  ``engine`` names a round engine preference
-        # ("auto" | "instrumented" | "fast" | "jit"); the legacy
-        # ``fastpath`` flag maps onto fast/instrumented.  Neither the fast
-        # engine nor the JIT carries hook points, so any attached
+        # ("auto" | "instrumented" | "fast" | "jit"; None means "auto").
+        # Neither the fast engine nor the JIT carries hook points, so any attached
         # tracer/monitor/policy/fault-plan forces the instrumented engine
         # regardless of the caller's preference; the JIT additionally
         # requires a read-blind recorder (the read-tracking recorder is a
         # sanitizer hook), downgrading to the fast engine otherwise —
         # both downgrades are the ``hook`` rung of the deopt ladder
-        # (docs/PERF.md).  ``fastpath=False`` / ``engine="instrumented"``
-        # force the reference engine, which the differential suite uses.
+        # (docs/PERF.md).  ``engine="instrumented"`` forces the reference
+        # engine, which the differential suite uses.
         if engine is None:
-            if fastpath is None:
-                engine = "auto"
-            else:
-                engine = "fast" if fastpath else "instrumented"
+            engine = "auto"
         elif engine not in ("auto", "instrumented", "fast", "jit"):
             raise LaunchError(f"unknown engine {engine!r}")
         eligible = (
@@ -225,7 +220,6 @@ class ThreadBlock:
         elif engine == "auto":
             engine = "fast"
         self.engine = engine
-        self.fastpath = engine != "instrumented"
         ws = params.warp_size
         self.num_warps = -(-num_threads // ws)
         # The JIT tier re-instantiates the kernel as one vectorized
@@ -337,7 +331,7 @@ class ThreadBlock:
             # bit-identically from round zero.
             self._build_lanes()
             return self._run_fast()
-        if self.fastpath:
+        if self.engine == "fast":
             return self._run_fast()
         return self._run_instrumented()
 

@@ -123,7 +123,6 @@ class Device:
         backoff: float = 0.05,
         resume: bool = False,
         checkpoint=None,
-        fastpath: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> KernelCounters:
         """Run ``entry(tc, *args)`` over a grid and return kernel counters.
@@ -199,11 +198,10 @@ class Device:
         together with a hook (``tracer``/``sanitize``/``detect_races``/
         ``schedule_policy``/an active fault plan) raises
         :class:`~repro.errors.LaunchError`, since hooks require the
-        instrumented engine.  When ``engine`` is omitted the legacy
-        ``fastpath`` flag applies (``True`` → ``"fast"``, ``False`` →
-        ``"instrumented"``; incompatible with ``engine=``), then the
-        ``REPRO_ENGINE`` environment variable (which downgrades silently
-        under hooks so whole suites can be swept), then ``"auto"``.
+        instrumented engine.  When ``engine`` is omitted the
+        ``REPRO_ENGINE`` environment variable applies (it downgrades
+        silently under hooks so whole suites can be swept), then
+        ``"auto"``.
         JIT launches report the chosen engine and per-launch compile/
         deopt telemetry in ``kc.extra`` (``engine``,
         ``jit_warps_compiled``, ``jit_deopt_<reason>``).
@@ -262,14 +260,10 @@ class Device:
 
                 faults_ = default_faults()
 
-            # Round-engine preference: explicit ``engine=`` kwarg, then the
-            # legacy ``fastpath`` flag, then REPRO_ENGINE, then ``auto``.
+            # Round-engine preference: explicit ``engine=`` kwarg, then
+            # REPRO_ENGINE, then ``auto``.
             from repro.jit import JitCounters, coerce_engine, default_engine
 
-            if engine is not None and fastpath is not None:
-                raise LaunchError(
-                    "pass either engine= or the legacy fastpath= flag, not both"
-                )
             hook = None
             if tracer is not None:
                 hook = "tracer"
@@ -292,8 +286,6 @@ class Device:
                         f"{hook} hook (hooks need the instrumented engine); "
                         "drop the hook or use engine='auto'"
                     )
-            elif fastpath is not None:
-                requested = "fast" if fastpath else "instrumented"
             else:
                 # Environment-sourced preferences downgrade silently so whole
                 # test suites can be swept under e.g. REPRO_ENGINE=jit.
@@ -333,7 +325,6 @@ class Device:
                 tracer=tracer,
                 side_state=plan_side,
                 faults=faults_,
-                fastpath=fastpath,
                 engine=resolved,
                 jit_stats=jit_stats,
             )

@@ -35,8 +35,7 @@ unset / ``auto``          fast interpreter when hook-free (today's default)
 ``jit``                   trace-compile stable warps; deopt to fast
 ========================  ==================================================
 
-``Device.launch(engine=...)`` overrides the environment per launch; the
-legacy ``fastpath=`` flag maps onto ``fast``/``instrumented``.
+``Device.launch(engine=...)`` overrides the environment per launch.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
 """Self-healing worker pool: crash/hang retry, degradation, diagnostics.
 
 Worker faults are injected only inside the forked child
-(:func:`repro.exec.pool._child_main`), so the in-process degradation rung
+(:func:`repro.exec.pool._pool_worker_main`), so the in-process degradation rung
 is always fault-free — these tests never ``os._exit`` the test process.
 """
 
 import pytest
 
-from repro.exec import WorkerError, fork_available, fork_map
+from repro.exec import fork_available, fork_map
 from repro.exec.pool import (
-    INJECTED_CRASH_EXIT,
     RetryPolicy,
     STAT_KEYS,
     describe_exit,
@@ -67,18 +66,6 @@ class TestCrashRecovery:
         assert stats["degraded_chunks"] >= 1
         assert stats["degraded_tasks"] >= 1
         assert plan.counters.degradations == 1
-
-    def test_recover_false_raises_with_diagnostics(self):
-        plan = crash_plan(prob=1.0, attempts=99)
-        policy = RetryPolicy(max_retries=1, backoff=0.0)
-        with pytest.raises(WorkerError) as exc:
-            fork_map(square, TASKS, workers=2, faults=plan,
-                     retry=policy, recover=False)
-        msg = str(exc.value)
-        assert "died" in msg
-        assert f"exit code {INJECTED_CRASH_EXIT}" in msg
-        assert "tasks" in msg  # names the lost task ranges
-
 
 @needs_fork
 class TestHangRecovery:

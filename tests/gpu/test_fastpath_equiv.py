@@ -510,16 +510,6 @@ def test_engine_rejects_unknown_name(executor):
         dev.launch(k, 1, 32, engine="turbo")
 
 
-def test_engine_and_fastpath_are_exclusive(executor):
-    dev = Device(nvidia_a100(), executor=executor)
-
-    def k(tc):
-        yield from tc.compute("alu")
-
-    with pytest.raises(LaunchError, match="fastpath"):
-        dev.launch(k, 1, 32, engine="fast", fastpath=True)
-
-
 def test_explicit_jit_with_hook_is_an_error(executor):
     dev = Device(nvidia_a100(), executor=executor)
 
@@ -544,33 +534,6 @@ def test_env_engine_downgrades_silently_under_hook(executor, monkeypatch):
     assert "engine" not in kc.extra
     assert not any(key.startswith("jit_") for key in kc.extra)
     assert np.all(w.to_numpy() == 1.0)
-
-
-def test_legacy_fastpath_flag_still_selects_engines(executor):
-    """fastpath=True/False maps onto the fast/instrumented engines."""
-    kt, yt = _run_streaming_legacy(executor, True)
-    kf, yf = _run_streaming_legacy(executor, False)
-    assert np.array_equal(yt, yf)
-    assert kt.identical(kf)
-    assert "engine" not in kt.extra and "engine" not in kf.extra
-
-
-def _run_streaming_legacy(executor, fastpath):
-    dev = Device(nvidia_a100(), executor=executor)
-    n = 128
-    x = dev.from_array("x", np.arange(n, dtype=np.float32))
-    y = dev.alloc("y", n, np.float32)
-
-    def k(tc, x, y, n):
-        i = tc.global_tid
-        stride = tc.num_blocks * tc.block_dim
-        while i < n:
-            v = yield from tc.load(x, i)
-            yield from tc.store(y, i, v * 3.0)
-            i += stride
-
-    kc = dev.launch(k, 2, 64, args=(x, y, n), fastpath=fastpath)
-    return kc, y.to_numpy()
 
 
 # ---------------------------------------------------------------------------
