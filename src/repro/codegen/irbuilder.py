@@ -35,7 +35,7 @@ from repro.codegen.directives import (
     TeamsDistribute,
     TeamsDistributeParallelFor,
 )
-from repro.codegen.outline import OutlinedTask, iv_key, outline_task, resolve_uses, subtree_uses
+from repro.codegen.outline import OutlinedTask, outline_task, resolve_uses, subtree_uses
 from repro.codegen.program import CompiledKernel
 from repro.codegen.spmdization import analyze_modes
 from repro.gpu.events import Compute
@@ -78,13 +78,13 @@ def build_task_values(task: OutlinedTask, env: Dict, ivs: Tuple[int, ...]) -> Di
                 f"task {task.name!r} captures {cname!r} but the enclosing "
                 "pre= callback did not produce it"
             ) from None
-    for level in range(task.depth):
-        values[iv_key(level)] = int(ivs[level])
+    for level, key in enumerate(task.iv_keys):
+        values[key] = int(ivs[level])
     return values
 
 
 def _outer_ivs(task: OutlinedTask, values: Dict) -> Tuple[int, ...]:
-    return tuple(int(values[iv_key(level)]) for level in range(task.depth))
+    return tuple([int(values[key]) for key in task.iv_keys])
 
 
 #: Identities/combiner for the for-level reduction clause.
@@ -184,9 +184,10 @@ def _lower_simd(
     reduction = simd_node.reduction
 
     def simd_task_fn(tc, rt, omp_iv, values):
-        ivs = _outer_ivs(task, values) + (loop.user_iv(omp_iv),)
-        result = yield from loop.body(tc, ivs, values)
-        return result
+        # A plain function returning the body generator: the runtime
+        # delegates to the body directly, with no pass-through frame.
+        return loop.body(tc, _outer_ivs(task, values) + (loop.user_iv(omp_iv),),
+                         values)
 
     fn_id = table.register(
         simd_task_fn,
@@ -225,8 +226,7 @@ def _lower_loop_content(
     tasks: Dict[str, Tuple[OutlinedTask, int]] = {}
     if loop.body is not None:
         def run_leaf(tc, rt, ivs, env):
-            result = yield from loop.body(tc, ivs, env)
-            return result
+            return loop.body(tc, ivs, env)
         return tasks, run_leaf
 
     simd_node = loop.nested
@@ -236,6 +236,8 @@ def _lower_loop_content(
     )
     tasks[f"{name}.simd"] = (task, fn_id)
     has_pre, has_post = loop.pre is not None, loop.post is not None
+    if not (has_pre or has_post):
+        return tasks, call_simd
 
     def run(tc, rt, ivs, env):
         if has_pre:

@@ -63,9 +63,15 @@ class OutlinedTask:
     uses: Tuple[str, ...]
     #: Captured locals: (name, kind) pairs, outermost scope first.
     captures: Tuple[Tuple[str, str], ...]
-    #: Number of enclosing loop variables shipped as ``__iv`` slots.
-    depth: int
     layout: PayloadLayout
+    #: Slot names of the enclosing loop variables shipped as ``__iv``
+    #: slots, outermost first (``iv_key(0)``, ``iv_key(1)``, ...).
+    iv_keys: Tuple[str, ...]
+
+    @property
+    def depth(self) -> int:
+        """Number of enclosing loop variables in the payload."""
+        return len(self.iv_keys)
 
     @property
     def nargs(self) -> int:
@@ -94,12 +100,12 @@ def outline_task(
             raise OutliningError(f"capture {cname!r} shadows a payload entry")
         entries.append((cname, ckind))
         names.add(cname)
-    for level in range(depth):
-        entries.append((iv_key(level), "i64"))
+    iv_keys = tuple(iv_key(level) for level in range(depth))
+    entries.extend((key, "i64") for key in iv_keys)
     return OutlinedTask(
         name=name,
         uses=tuple(uses),
         captures=tuple((n, k) for n, k in captures),
-        depth=depth,
         layout=PayloadLayout.build(entries),
+        iv_keys=iv_keys,
     )

@@ -180,9 +180,10 @@ class ResilienceReport:
     seed: int
     fork: bool
     #: The process-wide round-engine preference (``REPRO_ENGINE``) the
-    #: campaign ran under — provenance for the report.  Fault-carrying
-    #: launches always *execute* instrumented (active plans are a hook),
-    #: so a ``jit``/``fast`` preference here documents the downgrade.
+    #: campaign ran under — provenance for the report.  Every campaign
+    #: plan names an in-block site, so its launches always *execute*
+    #: instrumented (``FaultPlan.hooks_blocks``); a ``jit``/``fast``
+    #: preference here documents the downgrade.
     engine: str = "auto"
     rows: List[Dict] = field(default_factory=list)
 

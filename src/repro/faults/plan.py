@@ -74,6 +74,11 @@ SITES = (
     "lease.corrupt",
 )
 
+#: The sites consulted from inside a running block (the scheduler's atomic
+#: path and the runtime's sharing space).  Only a plan naming one of these
+#: needs the instrumented round engine; the others fire around launches.
+BLOCK_SITES = ("atomic.transient", "sharing.overflow")
+
 #: Cap on retained provenance entries (counters keep exact totals).
 MAX_LOG = 1000
 
@@ -243,6 +248,16 @@ class FaultPlan:
             if self._uniform(site, coords) < spec.probability:
                 return spec
         return None
+
+    @property
+    def hooks_blocks(self) -> bool:
+        """Whether a spec names a :data:`BLOCK_SITES` site.
+
+        Engine selection's test: a plan that can fire nothing inside a
+        block (no specs, or only worker, bit-flip, serve, journal or lease
+        sites) is not a hook and leaves the fast engines eligible.
+        """
+        return any(spec.site in BLOCK_SITES for spec in self.specs)
 
     def rng(self, site: str, **coords) -> random.Random:
         """A deterministic RNG for drawing fault *targets* (e.g. which

@@ -187,7 +187,8 @@ class ThreadBlock:
         # Engine selection.  ``engine`` names a round engine preference
         # ("auto" | "instrumented" | "fast" | "jit"; None means "auto").
         # Neither the fast engine nor the JIT carries hook points, so any attached
-        # tracer/monitor/policy/fault-plan forces the instrumented engine
+        # tracer/monitor/policy — or a fault plan naming an in-block site
+        # (``FaultPlan.hooks_blocks``) — forces the instrumented engine
         # regardless of the caller's preference; the JIT additionally
         # requires a read-blind recorder (the read-tracking recorder is a
         # sanitizer hook), downgrading to the fast engine otherwise —
@@ -202,7 +203,7 @@ class ThreadBlock:
             self.tracer is None
             and self.monitor is None
             and self.schedule_policy is None
-            and self.faults is None
+            and (self.faults is None or not self.faults.hooks_blocks)
         )
         if engine == "jit":
             if not eligible:
@@ -750,10 +751,10 @@ class ThreadBlock:
                 lane.pending = (buf.data[i],)
                 return
             buf.check_index(i)  # raises the canonical MemoryFault
-        lane.pending = tuple(buf.read(i) for i in idxs)
+        lane.pending = buf.read_run(idxs)
 
     def _side_load_rec(self, lane, ev) -> None:
-        lane.pending = tuple(ev.buf.read(i) for i in ev.idxs)
+        lane.pending = ev.buf.read_run(ev.idxs)
         rec = self.recorder
         if ev.buf.space == "global" and rec.tracks(ev.buf):
             rec.on_load(ev.buf, ev.idxs)
@@ -1043,7 +1044,7 @@ class ThreadBlock:
             for lane, ev in commits:
                 tag = ev.tag
                 if tag == T_LOAD:
-                    lane.pending = tuple(ev.buf.read(i) for i in ev.idxs)
+                    lane.pending = ev.buf.read_run(ev.idxs)
                     rec = self.recorder
                     if (
                         rec is not None
@@ -1213,9 +1214,9 @@ class ThreadBlock:
         Specialized for the hot shape — every event of the group touches
         the same buffer with equal-length index runs (the lockstep pattern
         a converged warp produces).  There the per-position set churn
-        collapses into one sector computation: a small set comprehension
-        for warp-sized groups, NumPy unique counts once the unrolled run
-        is large enough to amortize array overhead.  Aligned elements
+        collapses into one sector computation: small sets per position
+        (a single-position group of 48 or more lanes uses NumPy unique
+        counts instead, to amortize array overhead).  Aligned elements
         (``sector_bytes % itemsize == 0`` and an aligned base) can never
         straddle a sector, halving the address work.  Any other shape
         falls back to the scalar per-position logic, identical to the
@@ -1296,25 +1297,21 @@ class ThreadBlock:
                         secs = sorted(pos)
                         transactions = len(secs)
                 else:
-                    mat = np.asarray([ev.idxs for ev in evs])
-                    if mat.dtype != np.int64:
-                        mat = mat.astype(np.int64)
-                    lo = (base + mat * isz) // sb
-                    if aligned:
-                        transactions = 0
-                        for k in range(npos):
-                            transactions += np.unique(lo[:, k]).size
-                        secs = np.unique(lo).tolist()
-                    else:
-                        hi = (base + mat * isz + (isz - 1)) // sb
-                        transactions = 0
-                        for k in range(npos):
-                            transactions += np.unique(
-                                np.concatenate((lo[:, k], hi[:, k]))
-                            ).size
-                        secs = np.unique(
-                            np.concatenate((lo.ravel(), hi.ravel()))
-                        ).tolist()
+                    # Multi-position group (at most one warp): one small
+                    # sector set per position.
+                    spill = 0 if aligned else isz - 1
+                    sectors = set()
+                    transactions = 0
+                    for k in range(npos):
+                        pos = {(base + int(ev.idxs[k]) * isz) // sb for ev in evs}
+                        if spill:
+                            pos.update(
+                                (base + int(ev.idxs[k]) * isz + spill) // sb
+                                for ev in evs
+                            )
+                        transactions += len(pos)
+                        sectors |= pos
+                    secs = sorted(sectors)
             else:
                 # Ragged or multi-buffer group: scalar logic, identical to
                 # the instrumented twin.

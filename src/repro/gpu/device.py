@@ -196,7 +196,8 @@ class Device:
         interpreter per block otherwise.  Results are bit-identical
         across all engines.  Passing ``engine="fast"``/``"jit"``
         together with a hook (``tracer``/``sanitize``/``detect_races``/
-        ``schedule_policy``/an active fault plan) raises
+        ``schedule_policy``/a fault plan naming an in-block site —
+        ``FaultPlan.hooks_blocks``) raises
         :class:`~repro.errors.LaunchError`, since hooks require the
         instrumented engine.  When ``engine`` is omitted the
         ``REPRO_ENGINE`` environment variable applies (it downgrades
@@ -273,7 +274,7 @@ class Device:
                 hook = "detect_races"
             elif schedule_policy is not None:
                 hook = "schedule_policy"
-            elif faults_ is not None:
+            elif faults_ is not None and faults_.hooks_blocks:
                 hook = "fault plan"
             if engine is not None:
                 try:

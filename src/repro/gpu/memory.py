@@ -25,6 +25,7 @@ Spaces
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -47,6 +48,10 @@ SHARED_ALIGN = 8
 #: pages in a megabyte-scale buffer.
 PAGE_ELEMS = 256
 PAGE_SHIFT = 8  # log2(PAGE_ELEMS); pages are idx >> PAGE_SHIFT
+
+
+#: Element-type set of a run :meth:`Buffer.read_run` may gather directly.
+_INT_ONLY = {int}
 
 
 def _dtype_of(dtype) -> np.dtype:
@@ -153,6 +158,25 @@ class Buffer:
     def read(self, idx: int):
         self.check_index(int(idx))
         return self.data[int(idx)]
+
+    def read_run(self, idxs) -> tuple:
+        """Read an unrolled access run: the values at ``idxs``, in order.
+
+        A run of plain Python ``int`` indices pays one ``min``/``max``
+        bounds check and one C-level gather.  Anything else — an empty
+        run, a negative or out-of-range index, a NumPy integer or a float
+        — takes the in-order :meth:`read` walk, so the first bad index
+        raises the canonical :class:`MemoryFault`, non-int indices keep
+        their ``int()`` truncation, and a negative index never wraps.
+        """
+        if (
+            set(map(type, idxs)) == _INT_ONLY
+            and min(idxs) >= 0
+            and max(idxs) < self.size
+        ):
+            get = itemgetter(*idxs)
+            return get(self.data) if len(idxs) > 1 else (get(self.data),)
+        return tuple([self.read(i) for i in idxs])
 
     def write(self, idx: int, value) -> None:
         i = int(idx)

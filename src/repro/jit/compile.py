@@ -120,9 +120,10 @@ def _run_bounds(sel, nlanes: int):
 
 
 def _sector_footprint(selectors, nlanes: int, buf, params):
-    """``(secs, transactions)`` — exact mirror of the fast engine's
-    ``_account_memory_fast`` for a converged, lockstep, global-space
-    issue group."""
+    """``(secs, transactions)`` of a converged, lockstep, global-space
+    issue group: the same results ``_account_memory_fast`` computes for
+    it (not the same code path — this works on lane vectors, always
+    through NumPy)."""
     sb = params.sector_bytes
     isz = buf.itemsize
     base = buf.base

@@ -8,6 +8,12 @@ regions it cannot see (e.g. other translation units) — a methodology from
 Bertolli et al. [5].  :func:`invoke_microtask` reproduces both paths and
 charges their costs: one compare per cascade level, or a fixed indirect
 penalty.
+
+The cost is *charged* on every call, as the generated code pays it, but
+*resolved* once: :meth:`DispatchTable.resolve` caches each id's task and
+its cost events until the next :meth:`~DispatchTable.register`, and
+``__simd_loop`` resolves its loop task once per loop rather than once per
+iteration.
 """
 
 from __future__ import annotations
@@ -54,6 +60,9 @@ class DispatchTable:
     def __init__(self) -> None:
         self._tasks: Dict[int, TaskInfo] = {}
         self._next_id = 1  # 0 is the null fn / termination signal
+        #: fn id -> (task, dispatch cost events); cleared on register,
+        #: since a new known region lengthens the cascade.
+        self._resolved: Dict[int, Tuple[TaskInfo, Tuple[object, ...]]] = {}
 
     def register(
         self,
@@ -68,6 +77,7 @@ class DispatchTable:
         fn_id = self._next_id
         self._next_id += 1
         self._tasks[fn_id] = TaskInfo(fn_id, fn, name, layout, kind, known, reduction)
+        self._resolved.clear()
         return fn_id
 
     def lookup(self, fn_id: int) -> TaskInfo:
@@ -75,6 +85,22 @@ class DispatchTable:
             return self._tasks[int(fn_id)]
         except KeyError:
             raise RuntimeFault(f"unknown outlined function id {fn_id}") from None
+
+    def resolve(self, fn_id: int) -> Tuple[TaskInfo, Tuple[object, ...]]:
+        """``(task, cost events)`` of one call through the dispatch.
+
+        The events are the cascade compares (one ``alu`` event), plus the
+        :data:`INDIRECT_CALL_ROUNDS` serializing branches for a region
+        outside the cascade.  Unknown ids raise :class:`RuntimeFault`.
+        """
+        hit = self._resolved.get(fn_id)
+        if hit is None:
+            task = self.lookup(fn_id)
+            costs = (intern_compute("alu", cascade_cost_ops(self, fn_id)),)
+            if not task.known:
+                costs += (intern_compute("branch", 1),) * INDIRECT_CALL_ROUNDS
+            hit = self._resolved[fn_id] = (task, costs)
+        return hit
 
     def known_ids(self) -> Tuple[int, ...]:
         """Ids in the if/cascade, in registration (compile) order."""
@@ -100,12 +126,8 @@ def invoke_microtask(tc, table: DispatchTable, fn_id: int, *call_args):
     regions, or the serializing indirect-call penalty for external ones —
     then delegates to the task generator with ``(tc, *call_args)``.
     """
-    task = table.lookup(fn_id)
-    if task.known:
-        yield intern_compute("alu", cascade_cost_ops(table, fn_id))
-    else:
-        yield intern_compute("alu", cascade_cost_ops(table, fn_id))
-        for _ in range(INDIRECT_CALL_ROUNDS):
-            yield intern_compute("branch", 1)
+    task, costs = table.resolve(fn_id)
+    for ev in costs:
+        yield ev
     result = yield from task.fn(tc, *call_args)
     return result

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.gpu.events import intern_compute
-from repro.runtime.dispatch import NULL_FN, invoke_microtask
+from repro.runtime.dispatch import NULL_FN
 from repro.runtime.mapping import (
     get_simd_group,
     get_simd_group_id,
@@ -47,12 +47,20 @@ def _combine(op: str, a, b):
 
 
 def simd_loop(tc, rt: TeamRuntime, fn_id: int, trip_count: int, values: Dict):
-    """``__simd_loop`` (paper Fig 8): strided workshare across group lanes."""
+    """``__simd_loop`` (paper Fig 8): strided workshare across group lanes.
+
+    Each iteration calls the loop task through the dispatch and pays its
+    cost events; the task itself is resolved once per loop.
+    """
     cfg = rt.cfg
+    task, costs = rt.table.resolve(fn_id)
+    fn = task.fn
     omp_iv = get_simd_group_id(tc, cfg)
     yield from tc.syncwarp(simdmask(tc, cfg))
     while omp_iv < trip_count:
-        yield from invoke_microtask(tc, rt.table, fn_id, rt, omp_iv, values)
+        for ev in costs:
+            yield ev
+        yield from fn(tc, rt, omp_iv, values)
         omp_iv += cfg.simd_len
         yield intern_compute("alu", 1)  # induction increment + bound check
 
@@ -68,12 +76,16 @@ def simd_reduce_loop(
     round-trip).
     """
     cfg = rt.cfg
+    task, costs = rt.table.resolve(fn_id)
+    fn = task.fn
     mask = simdmask(tc, cfg)
     acc = _IDENTITY[op]
     omp_iv = get_simd_group_id(tc, cfg)
     yield from tc.syncwarp(mask)
     while omp_iv < trip_count:
-        val = yield from invoke_microtask(tc, rt.table, fn_id, rt, omp_iv, values)
+        for ev in costs:
+            yield ev
+        val = yield from fn(tc, rt, omp_iv, values)
         acc = _combine(op, acc, val)
         omp_iv += cfg.simd_len
         yield intern_compute("alu", 1)
@@ -88,10 +100,14 @@ def simd_reduce_loop(
 
 def _sequential_loop(tc, rt: TeamRuntime, fn_id: int, trip_count: int, values: Dict):
     """Group-size-1 fast path: plain sequential loop, no group machinery."""
-    reduction = rt.table.lookup(fn_id).reduction
+    task, costs = rt.table.resolve(fn_id)
+    fn = task.fn
+    reduction = task.reduction
     acc = _IDENTITY[reduction] if reduction else None
     for omp_iv in range(trip_count):
-        val = yield from invoke_microtask(tc, rt.table, fn_id, rt, omp_iv, values)
+        for ev in costs:
+            yield ev
+        val = yield from fn(tc, rt, omp_iv, values)
         if reduction:
             acc = _combine(reduction, acc, val)
         yield intern_compute("alu", 1)

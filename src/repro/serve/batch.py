@@ -233,23 +233,24 @@ def resolve_batch_engine(engine: Optional[str], faults) -> str:
     """The round engine a batch runs under — ``Device.launch``'s ladder
     minus the per-launch hooks batches reject anyway.
 
-    An active fault plan forces the instrumented engine (fault sites
-    live in the instrumented block scheduler), exactly as it does for
-    solo launches; otherwise the explicit choice, then ``REPRO_ENGINE``,
-    then auto → fast.
+    A fault plan naming an in-block site (``FaultPlan.hooks_blocks``)
+    forces the instrumented engine (those sites live in the instrumented
+    block scheduler), exactly as it does for solo launches; otherwise the
+    explicit choice, then ``REPRO_ENGINE``, then auto → fast.
     """
     from repro.jit import coerce_engine, default_engine
 
+    hooked = faults is not None and faults.hooks_blocks
     if engine is not None:
         resolved = coerce_engine(engine)
-        if resolved in ("fast", "jit") and faults is not None:
+        if resolved in ("fast", "jit") and hooked:
             raise LaunchError(
                 f"engine={resolved!r} is incompatible with an attached "
                 "fault plan (fault sites need the instrumented engine)"
             )
     else:
         resolved = default_engine()
-    if faults is not None:
+    if hooked:
         return "instrumented"
     return "fast" if resolved == "auto" else resolved
 
