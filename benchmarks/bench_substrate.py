@@ -13,12 +13,13 @@ interpreter's true rate).
 The headline legs are the **engine speedup gates**: the streaming and
 generic-SIMD workloads run under the fast and instrumented round engines,
 and the ``jit_*`` workloads run the trace-compiling JIT tier against the
-instrumented engine (see ``docs/PERF.md``) — all interleaved within one
-process and scored best-of-N so machine noise cancels out of the ratio.
+fast engine (see ``docs/PERF.md``) — all interleaved within one process
+and scored best-of-N so machine noise cancels out of the ratio.
 Counters are asserted bit-exact between the engines on every measurement
-(JIT telemetry keys stripped first) — the speedup claims are only
-meaningful because the semantics are identical.  The JIT legs carry a
-hard ``>= 10x`` floor in ``--check`` on top of the baseline tolerance.
+(JIT telemetry keys stripped first, and against the instrumented engine
+too) — the speedup claims are only meaningful because the semantics are
+identical.  The JIT legs carry a hard per-kernel floor in ``--check``
+(:func:`jit_floor`) on top of the baseline tolerance.
 
 Run standalone (prints BENCH lines, writes/checks ``BENCH_substrate.json``,
 used by the CI ``perf-smoke`` job)::
@@ -66,10 +67,25 @@ TOLERANCE_PCT = 25
 #: Interleaved measurement pairs per workload; the score is best-of.
 DEFAULT_REPS = 7
 
-#: Hard floor on the JIT-vs-instrumented ratio for the ``jit_*`` gate
-#: workloads — the tier's acceptance bar, enforced by ``--check``
-#: regardless of what the committed baseline says.
+#: The JIT tier's acceptance bar: ``>= 10x`` the instrumented engine on
+#: the ``jit_*`` gate workloads.
 JIT_MIN_SPEEDUP = 10.0
+
+#: The fast engine's lead over the instrumented engine on each ``jit_*``
+#: gate kernel while the acceptance bar was set, when the instrumented
+#: engine still carried its own copies of the accounting and barrier
+#: release code: the median of 5 runs of :func:`measure_speedup`'s
+#: best-of-7 protocol on those kernels (2-vCPU x86-64 host, CPython 3.11).
+#: The jit legs are timed against the fast engine, whose speed does not
+#: depend on how the reference engine is written; dividing the bar by
+#: this lead keeps each floor exactly as strict as the 10x bar was.
+FAST_LEAD_AT_ACCEPTANCE = {"jit_streaming": 1.99, "jit_stencil": 2.12}
+
+
+def jit_floor(name: str) -> float:
+    """Hard floor on the jit/fast ratio of one ``jit_*`` gate workload,
+    enforced by ``--check`` whatever the committed baseline says."""
+    return JIT_MIN_SPEEDUP / FAST_LEAD_AT_ACCEPTANCE[name]
 
 #: Hard floor on the incremental-vs-full snapshot ratio for the
 #: ``snapshot_rollback`` workload.  This gate is floor-only (never
@@ -368,23 +384,25 @@ def _strip_jit_extras(kc):
 
 
 def measure_jit_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
-    """Interleaved jit/instrumented measurement of one JIT gate workload.
+    """Interleaved jit/fast measurement of one JIT gate workload.
 
     Same protocol as :func:`measure_speedup`; additionally requires that
     every warp actually compiled (a silently deoptimizing workload would
     make the ratio meaningless) and that the counters — after stripping
-    the telemetry keys — are bit-identical.
+    the telemetry keys — are bit-identical to both interpreters' (one
+    untimed instrumented launch supplies the reference).
     """
     run = JIT_WORKLOADS[name]()
-    best_jit = best_instr = float("inf")
-    kc_jit = kc_instr = None
+    kc_instr, _ = run("instrumented")
+    best_jit = best_fast = float("inf")
+    kc_jit = kc_fast = None
     for _ in range(reps):
         kc, dt = run("jit")
         if dt < best_jit:
             best_jit, kc_jit = dt, kc
-        kc, dt = run("instrumented")
-        if dt < best_instr:
-            best_instr, kc_instr = dt, kc
+        kc, dt = run(None)  # auto-selects the fast engine (no hooks)
+        if dt < best_fast:
+            best_fast, kc_fast = dt, kc
     warps = kc_jit.extra.get("jit_warps_compiled", 0.0)
     deopts = {k: v for k, v in kc_jit.extra.items() if k.startswith("jit_deopt_")}
     assert warps > 0 and not deopts, (
@@ -394,14 +412,17 @@ def measure_jit_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
     assert _strip_jit_extras(kc_jit).identical(kc_instr), (
         f"{name}: jit/instrumented counters diverged — speedup is void"
     )
+    assert kc_jit.identical(kc_fast), (
+        f"{name}: jit/fast counters diverged — speedup is void"
+    )
     steps = kc_jit.total("lane_steps")
     return {
         "lane_steps": int(steps),
         "rounds": int(kc_jit.rounds),
         "cycles": float(kc_jit.cycles),
         "jit_steps_per_s": steps / best_jit,
-        "instr_steps_per_s": steps / best_instr,
-        "jit_speedup": best_instr / best_jit,
+        "fast_steps_per_s": steps / best_fast,
+        "jit_speedup": best_fast / best_jit,
     }
 
 
@@ -454,19 +475,19 @@ def test_fastpath_speedup_gate():
 
 
 def test_jit_speedup_gate():
-    """The JIT gate workloads compile fully, agree bit-exactly, and beat
-    the fast interpreter's typical ratio.
+    """The JIT gate workloads compile fully, agree bit-exactly, and are
+    clearly ahead of the fast interpreter.
 
-    The light pytest leg keeps a generous floor (the fast engine's ~2x)
-    so loaded hosts cannot flake it; the hard ``>= 10x`` acceptance floor
+    The light pytest leg keeps a generous floor (three tenths of the hard
+    one) so loaded hosts cannot flake it; the hard :func:`jit_floor`
     lives in the CI ``perf-smoke`` ``--check`` run, measured best-of-N
     interleaved.
     """
     for name in JIT_WORKLOADS:
         r = measure_jit_speedup(name, reps=3)
-        assert r["jit_speedup"] > 3.0, (
+        assert r["jit_speedup"] > 0.3 * jit_floor(name), (
             f"{name}: jit speedup {r['jit_speedup']:.2f}x is not clearly "
-            "ahead of the interpreters"
+            "ahead of the fast interpreter"
         )
 
 
@@ -632,9 +653,9 @@ def run_measurements(reps: int, only=None) -> dict:
         results[name] = r
         print(
             f"BENCH substrate {name}: jit {r['jit_steps_per_s'] / 1e3:.1f}k "
-            f"steps/s  instr {r['instr_steps_per_s'] / 1e3:.1f}k steps/s  "
+            f"steps/s  fast {r['fast_steps_per_s'] / 1e3:.1f}k steps/s  "
             f"speedup {r['jit_speedup']:.2f}x  (gate >= "
-            f"{JIT_MIN_SPEEDUP:.0f}x, rounds={r['rounds']}, "
+            f"{jit_floor(name):.2f}x, rounds={r['rounds']}, "
             f"cycles={r['cycles']:.0f})"
         )
     if wanted("snapshot_rollback"):
@@ -653,6 +674,7 @@ def run_measurements(reps: int, only=None) -> dict:
         "metric": "lane_steps_per_second",
         "tolerance_pct": TOLERANCE_PCT,
         "jit_min_speedup": JIT_MIN_SPEEDUP,
+        "jit_floors": {name: jit_floor(name) for name in JIT_WORKLOADS},
         "snapshot_min_speedup": SNAPSHOT_MIN_SPEEDUP,
         # Advisory process-global JIT totals for this bench run (trace
         # cache temperature, deopt tallies); recorded, never gated.
@@ -667,7 +689,6 @@ def check_against_baseline(measured: dict, baseline_path: str,
         baseline = json.load(f)
     rc = 0
     tol = baseline.get("tolerance_pct", TOLERANCE_PCT) / 100.0
-    jit_min = baseline.get("jit_min_speedup", JIT_MIN_SPEEDUP)
     snap_min = baseline.get("snapshot_min_speedup", SNAPSHOT_MIN_SPEEDUP)
     for name, base in baseline["workloads"].items():
         if only is not None and name not in only:
@@ -683,9 +704,9 @@ def check_against_baseline(measured: dict, baseline_path: str,
             ratio_key, lo = "snapshot_speedup", snap_min
         elif "jit_speedup" in base:
             ratio_key = "jit_speedup"
-            # The JIT tier's acceptance bar is absolute: >= 10x whatever
-            # the committed baseline drifted to.
-            lo = max(base[ratio_key] * (1.0 - tol), jit_min)
+            # The JIT tier's acceptance bar is absolute: the per-kernel
+            # floor whatever the committed baseline drifted to.
+            lo = max(base[ratio_key] * (1.0 - tol), jit_floor(name))
         else:
             ratio_key = "speedup"
             lo = base[ratio_key] * (1.0 - tol)

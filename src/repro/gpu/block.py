@@ -30,24 +30,32 @@ it.  Both hooks are strictly zero-cost when absent.
 Engines
 =======
 
-The block owns two interchangeable round engines:
+The block owns two round loops over one shared core.  Side effects (the
+``_side`` handler table), issue and memory accounting (the ``_acct``
+handlers and :meth:`ThreadBlock._account_memory`), round settlement
+(:meth:`ThreadBlock._settle_round`) and barrier release
+(:meth:`ThreadBlock._release_barriers`) exist once; the engines differ
+only in how a round's lanes are stepped:
 
-* the **instrumented engine** (:meth:`ThreadBlock._run_instrumented`) —
-  the reference implementation, carrying every hook point (tracer,
-  monitor, schedule policy, fault plan);
+* the **instrumented engine** (:meth:`ThreadBlock._run_instrumented`)
+  buffers a round's posts, then applies and accounts them warp by warp,
+  carrying every hook point (tracer, monitor, schedule policy, fault
+  plan);
 * the **fast engine** (:meth:`ThreadBlock._run_fast`) — selected
-  automatically when no tracer, monitor, schedule policy, or fault plan
-  is attached (the production configuration).  It steps the same lanes
-  in the same deterministic order and shares the barrier/vote/shuffle
-  resolution and memory-accounting code, so memory contents, every
-  :class:`~repro.gpu.counters.BlockCounters` field, and the
-  deadlock/error behaviour are bit-identical to the instrumented engine
-  — only the interpreter overhead differs.  The exec-layer write
-  recorder *is* supported on the fast path (the per-tag handler tables
-  are specialized once at construction, so the per-event hot loop stays
-  free of hook-presence branches) — parallel-executor workers inherit
-  the fast engine.  ``tests/gpu/test_fastpath_equiv.py`` holds the
-  differential proof obligation.
+  automatically when none of those hooks is attached (the production
+  configuration) — fuses stepping, side effects and accounting into one
+  pass per warp and completes same-round collectives inline.
+
+Memory contents, every :class:`~repro.gpu.counters.BlockCounters` field,
+and the deadlock/error behaviour are therefore bit-identical across the
+engines; only the interpreter overhead differs.  The handler tables are
+specialized once at construction (on the exec-layer write recorder and
+an in-block fault plan), so the handlers carry no hook-presence branches
+and the recorder leaves the fast engine eligible — parallel-executor
+workers inherit it.
+``tests/gpu/test_fastpath_equiv.py`` holds the differential proof
+obligation; ``tests/gpu/test_accounting_oracle.py`` checks the shared
+accounting against an independent per-element model.
 """
 
 from __future__ import annotations
@@ -55,8 +63,6 @@ from __future__ import annotations
 import math
 import operator
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import (
     DeadlockError,
@@ -68,16 +74,7 @@ from repro.gpu.atomics import apply_atomic, apply_atomic_resilient
 from repro.gpu.coalescing import L1SectorCache, shared_conflict_degree
 from repro.gpu.costmodel import CostParams
 from repro.gpu.counters import BlockCounters
-from repro.gpu.events import (
-    T_ATOMIC,
-    T_COMPUTE,
-    T_LOAD,
-    T_SHUFFLE,
-    T_STORE,
-    T_SYNCBLOCK,
-    T_SYNCWARP,
-    T_VOTE,
-)
+from repro.gpu.events import T_LOAD
 from repro.gpu.memory import PAGE_SHIFT, GlobalMemory, SharedMemory
 from repro.gpu.thread import (
     DONE,
@@ -94,24 +91,6 @@ from repro.gpu.thread import (
 DEFAULT_MAX_ROUNDS = 5_000_000
 
 _BY_LANE_ID = operator.attrgetter("lane_id")
-
-
-def _signature(ev) -> tuple:
-    """Issue-group signature: events sharing it issue as one instruction."""
-    t = ev.tag
-    if t == T_COMPUTE:
-        return (t, ev.kind)
-    if t == T_LOAD or t == T_STORE:
-        return (t, ev.buf.space)
-    if t == T_ATOMIC:
-        return (t, ev.op)
-    if t == T_SYNCWARP:
-        return (t, ev.mask)
-    if t == T_SHUFFLE:
-        return (t, ev.mode, ev.mask)
-    if t == T_VOTE:
-        return (t, ev.mode, ev.mask)
-    return (t,)
 
 
 class ThreadBlock:
@@ -150,12 +129,9 @@ class ThreadBlock:
         #: zero-cost when None; used for debugging and protocol tests.
         self.tracer = tracer
         #: When True, unsynchronized same-address conflicts raise
-        #: :class:`~repro.errors.DataRaceError` (debugging mode).  This is
-        #: now a shorthand for attaching the sanitizer's happens-before
-        #: race detector in raise mode, which subsumes — and fixes a
-        #: false negative of — the old round-local check (conflicts in
-        #: *different* rounds with no intervening barrier were never
-        #: compared).
+        #: :class:`~repro.errors.DataRaceError` (debugging mode) — a
+        #: shorthand for attaching the sanitizer's happens-before race
+        #: detector in raise mode.
         self.detect_races = detect_races
         if detect_races and monitor is None:
             from repro.sanitizer.monitor import SanitizerConfig, SanitizerMonitor
@@ -237,20 +213,20 @@ class ThreadBlock:
             # scalar lane generators are built lazily, only if the block
             # actually deoptimizes into an interpreter.
             self._build_lanes()
-        # -- fast-engine state ------------------------------------------
-        # Pre-allocated per-warp event buffers, reused — cleared, never
-        # reallocated — every round.  (Side effects apply inline while
-        # stepping, so only the events survive to the accounting step.)
+        # -- round state shared by both engines ---------------------------
+        # Pre-allocated per-warp event buffers for the fast engine, reused —
+        # cleared, never reallocated — every round.  (Side effects apply
+        # inline while stepping, so only the events survive to accounting.)
         self._post_evs: List[list] = [[] for _ in range(self.num_warps)]
         # Hoisted cost-table lookup target for the accounting handlers.
         self._op_cost = self.params.op_cost
         self._cost_ld = self._op_cost.get("ld", 1.0)
         self._cost_st = self._op_cost.get("st", 1.0)
-        # Round-local atomic address histogram, reused across rounds.
+        # Round-local atomic address histogram, emptied by _settle_round.
         self._atomic_addrs: Dict[tuple, int] = {}
         # Incremental barrier bookkeeping: waiter groups are maintained at
-        # post time (side-effect handlers) and torn down at release, so the
-        # fast engine never rescans all lanes looking for barriers.
+        # post time (side-effect handlers) and torn down at release, so
+        # release never rescans all lanes looking for barriers.
         self._block_waiters: Dict[tuple, List[Lane]] = {}
         self._warp_waiters: List[Dict[int, List[Lane]]] = [
             {} for _ in range(self.num_warps)
@@ -261,12 +237,19 @@ class ThreadBlock:
         self._n_waiters = 0
         self._full_mask = (1 << ws) - 1
         # Per-tag handler tables (indexed by event tag).  The side-effect
-        # table is specialized once, here, on recorder presence — the hot
-        # loop itself carries no hook-presence branches.
+        # table is specialized once, here, on recorder presence and on an
+        # in-block fault plan — the handlers carry no hook-presence
+        # branches.  A plan naming no in-block site cannot fire at the
+        # atomic site, so it keeps the plain atomic handler.
         rec = self.recorder
         side_load = self._side_load if rec is None or not rec.track_reads else self._side_load_rec
         side_store = self._side_store if rec is None else self._side_store_rec
-        side_atomic = self._side_atomic if rec is None else self._side_atomic_rec
+        if faults is not None and faults.hooks_blocks:
+            side_atomic = self._side_atomic_hooked
+        elif rec is None:
+            side_atomic = self._side_atomic
+        else:
+            side_atomic = self._side_atomic_rec
         self._side = [
             None,  # T_COMPUTE: no architectural side effect
             side_load,
@@ -337,7 +320,7 @@ class ThreadBlock:
         return self._run_instrumented()
 
     # ------------------------------------------------------------------
-    # Instrumented engine: the reference implementation with every hook.
+    # Instrumented engine: the buffered round loop with every hook point.
     # ------------------------------------------------------------------
     def _run_instrumented(self) -> BlockCounters:
         lanes = self.lanes
@@ -381,7 +364,8 @@ class ThreadBlock:
             if live == 0:
                 break
             self._resolve_round(posted_by_warp)
-            released = self._release_barriers()
+            self._settle_round()
+            released = self._release_barriers(live) if self._n_waiters else 0
             if advanced == 0 and released == 0:
                 self._raise_deadlock()
             c.rounds += 1
@@ -415,14 +399,14 @@ class ThreadBlock:
         )
 
     # ------------------------------------------------------------------
-    # Fast engine: hook-free specialization of the same round semantics.
+    # Fast engine: the fused, hook-free round loop.
     # ------------------------------------------------------------------
     def _run_fast(self) -> BlockCounters:
         """Hook-free round loop: one fused pass per warp per round.
 
         The instrumented engine steps every lane, buffers ``(lane, event)``
         posts, then resolves side effects and accounting in two further
-        passes.  This engine fuses all three into a single warp-major scan:
+        passes.  This loop fuses all three into a single warp-major scan:
         as each lane steps, its event's side effect is applied immediately
         (warps partition tids contiguously, so warp-major iteration applies
         side effects in exactly the ascending-tid order the buffered scheme
@@ -432,15 +416,13 @@ class ThreadBlock:
         runs right after its lanes, which is the same warp-ascending
         accounting order (and therefore the same L1 cache evolution) as the
         instrumented resolve pass.  Retired lanes are filtered out of the
-        per-warp scan lists, and barrier release runs off incrementally
-        maintained waiter groups instead of rescanning every lane.  All
-        observable behaviour — memory, counters, errors — matches the
-        instrumented engine bit for bit.
+        per-warp scan lists.  The handlers, round settlement and barrier
+        release are the instrumented engine's own, so all observable
+        behaviour — memory, counters, errors — matches it bit for bit.
         """
         c = self.counters
         params = self.params
         post_evs = self._post_evs
-        atomic_addrs = self._atomic_addrs
         side = self._side
         acct = self._acct
         max_rounds = self.max_rounds
@@ -463,9 +445,6 @@ class ThreadBlock:
         ]
         live = sum(map(len, active))
         while live:
-            self._round_mem_stall = False
-            if atomic_addrs:
-                atomic_addrs.clear()
             advanced = 0
             for w, lanes_w in enumerate(active):
                 if not lanes_w:
@@ -677,32 +656,12 @@ class ThreadBlock:
                     c.issues += 1
                     acct[sig0[0]](sig0, evs, uniform)
                 else:
-                    groups: Dict[tuple, list] = {}
-                    for ev in evs:
-                        g = groups.get(ev.sig)
-                        if g is None:
-                            groups[ev.sig] = [ev]
-                        else:
-                            g.append(ev)
-                    c.issues += len(groups)
-                    c.divergent_issues += len(groups) - 1
-                    for sig, items in groups.items():
-                        acct[sig[0]](sig, items, False)
+                    self._account_issues(evs)
                 evs.clear()
             c.lane_steps += advanced
             if not live:
                 break
-            # Device-wide atomic contention within the round.
-            if atomic_addrs:
-                extra = 0
-                for n in atomic_addrs.values():
-                    if n > 1:
-                        extra += n - 1
-                if extra:
-                    c.atomic_conflicts += extra
-                    c.mem_cycles += extra * params.atomic_conflict_cycles
-            if self._round_mem_stall:
-                c.mem_serial_rounds += 1
+            self._settle_round()
             if bbk is not None:
                 # Classic block barrier every live lane reached this round:
                 # complete without parking (no live lane can be waiting
@@ -727,9 +686,7 @@ class ThreadBlock:
             if nw:
                 self._n_waiters += nw
                 nw = 0
-            released = (
-                self._release_barriers_fast(live) if self._n_waiters else 0
-            )
+            released = self._release_barriers(live) if self._n_waiters else 0
             if advanced == 0 and released == 0:
                 self._raise_deadlock()
             c.rounds += 1
@@ -740,7 +697,10 @@ class ThreadBlock:
                 )
         return c
 
-    # -- fast-engine side-effect handlers (pass 1) ----------------------
+    # -- side-effect handlers (pass 1) -----------------------------------
+    # The fast engine inlines single-element loads/stores and collects
+    # barrier, shuffle and vote arrivals itself; the instrumented engine
+    # dispatches every event through the table.
     @staticmethod
     def _side_load(lane, ev) -> None:
         buf = ev.buf
@@ -818,6 +778,24 @@ class ThreadBlock:
         addrs = self._atomic_addrs
         addrs[key] = addrs.get(key, 0) + 1
 
+    def _side_atomic_hooked(self, lane, ev) -> None:
+        """Atomic under a fault plan naming an in-block site: transient
+        failures retry (:func:`apply_atomic_resilient`); the recorder, if
+        any, sees the committed result."""
+        buf = ev.buf
+        if buf.space == "global":
+            self._round_mem_stall = True
+        lane.pending = apply_atomic_resilient(
+            buf, ev.idx, ev.op, ev.operand, self.faults,
+            self.block_id, self.counters.rounds, lane.tid,
+        )
+        rec = self.recorder
+        if rec is not None and buf.space == "global" and rec.tracks(buf):
+            rec.on_atomic(buf, ev.idx, ev.op, ev.operand, lane.pending)
+        key = self._contention_key(ev)
+        addrs = self._atomic_addrs
+        addrs[key] = addrs.get(key, 0) + 1
+
     def _side_syncwarp(self, lane, ev) -> None:
         lane.state = WAIT_WARP
         mask = ev.mask
@@ -857,11 +835,30 @@ class ThreadBlock:
 
     _side_vote = _side_shuffle
 
-    # -- fast-engine accounting handlers (pass 2) ------------------------
-    # Each takes (sig, evs, uniform): ``evs`` is the group's event list,
-    # ``uniform`` is True when every entry is the *same* interned object —
-    # a free by-product of the convergence scan that lets the handlers
-    # skip per-event reduction work.
+    # -- accounting (pass 2) ---------------------------------------------
+    def _account_issues(self, evs) -> None:
+        """Account one warp's round of events, grouped by signature.
+
+        Groups are visited in first-post order, so both engines feed the
+        L1 model the same sector sequence."""
+        groups: Dict[tuple, list] = {}
+        for ev in evs:
+            g = groups.get(ev.sig)
+            if g is None:
+                groups[ev.sig] = [ev]
+            else:
+                g.append(ev)
+        c = self.counters
+        c.issues += len(groups)
+        c.divergent_issues += len(groups) - 1
+        acct = self._acct
+        for sig, items in groups.items():
+            acct[sig[0]](sig, items, False)
+
+    # The per-tag handlers each take (sig, evs, uniform): ``evs`` is the
+    # group's event list, ``uniform`` is True when every entry is the
+    # *same* interned object — a free by-product of the fast engine's
+    # convergence scan that lets the handlers skip per-event reductions.
     def _acct_compute(self, sig, evs, uniform) -> None:
         if uniform:
             ops = evs[0].ops
@@ -870,7 +867,7 @@ class ThreadBlock:
         self.counters.issue_cycles += self._op_cost.get(sig[1], 1.0) * ops
 
     def _acct_mem(self, sig, evs, uniform) -> None:
-        self._account_memory_fast(sig[0], sig[1], evs)
+        self._account_memory(sig[0], sig[1], evs)
 
     @staticmethod
     def _consec_run(evs):
@@ -907,322 +904,20 @@ class ThreadBlock:
     def _acct_shfl(self, sig, evs, uniform) -> None:
         self.counters.issue_cycles += 1.0
 
-    # -- fast-engine barrier release -------------------------------------
-    def _release_barriers_fast(self, live_count: int) -> int:
-        """Release ready groups off the maintained waiter structures.
+    def _account_memory(self, tag: int, space: str, evs) -> None:
+        """Charge one load/store issue group: ``evs`` are its events.
 
-        Semantics mirror :meth:`_release_barriers`: block-level releases
-        first (short-circuiting warp-level work for the round), then
-        warp barriers and shuffle/vote groups per warp in ascending warp
-        order.  Convergence checks reuse :meth:`_mask_converged` and
-        :meth:`_resolve_shfl_group`, so release results are identical.
-        """
-        params = self.params
-        c = self.counters
-        released = 0
-
-        bw = self._block_waiters
-        if bw:
-            done_keys = []
-            for key, waiters in bw.items():
-                count = key[1]
-                if count is None:
-                    ready = len(waiters) == live_count
-                else:
-                    ready = len(waiters) >= count
-                if ready:
-                    for lane in waiters:
-                        lane.state = RUN
-                        lane.pending = None
-                        lane.wait_key = None
-                    c.syncblocks += 1
-                    c.sync_cycles += params.syncthreads_cycles
-                    released += len(waiters)
-                    done_keys.append(key)
-            if done_keys:
-                for key in done_keys:
-                    del bw[key]
-                self._n_waiters -= released
-                return released
-
-        full = self._full_mask
-        for wid in range(self.num_warps):
-            warp_lanes = self._warps[wid]
-            nlanes = len(warp_lanes)
-            by_mask = self._warp_waiters[wid]
-            if by_mask:
-                done_masks = []
-                for mask, waiters in by_mask.items():
-                    # Full-warp groups (the common case) are ready exactly
-                    # when every lane of the warp sits in the group — a
-                    # retired or diverged lane keeps the count short, and
-                    # the scan would refuse the release too.
-                    if (
-                        len(waiters) == nlanes
-                        if mask == full
-                        else self._mask_converged(
-                            warp_lanes, mask, waiters, WAIT_WARP, mask
-                        )
-                    ):
-                        for lane in waiters:
-                            lane.state = RUN
-                            lane.pending = None
-                            lane.wait_key = None
-                        c.syncwarps += 1
-                        c.sync_cycles += params.syncwarp_cycles
-                        released += len(waiters)
-                        self._n_waiters -= len(waiters)
-                        done_masks.append(mask)
-                for mask in done_masks:
-                    del by_mask[mask]
-
-            shfl = self._shfl_waiters[wid]
-            if shfl:
-                done_shfl = []
-                for key, waiters in shfl.items():
-                    mask = key[0]
-                    if (
-                        len(waiters) == nlanes
-                        if mask == full
-                        else self._mask_converged(
-                            warp_lanes, mask, waiters, WAIT_SHFL, key
-                        )
-                    ):
-                        self._resolve_shfl_group(key, waiters)
-                        released += len(waiters)
-                        self._n_waiters -= len(waiters)
-                        done_shfl.append(key)
-                for key in done_shfl:
-                    del shfl[key]
-        return released
-
-    @staticmethod
-    def _contention_key(ev) -> tuple:
-        """Round-local atomic contention key for ``ev.buf[ev.idx]``.
-
-        Keyed by the buffer's stable device address ``(space, base)`` so
-        two distinct :class:`~repro.gpu.memory.Buffer` objects aliasing
-        the same storage contend correctly (``id()`` would treat them as
-        different addresses).  Lane-private ``local`` buffers have no
-        stable address space — all carry ``base == 0`` — so object
-        identity *is* the location there (the round's events keep the
-        buffers alive, making ``id`` collision-free within the round).
-        """
-        buf = ev.buf
-        if buf.space == "local":
-            return (id(buf), int(ev.idx))
-        return (buf.space, buf.base, int(ev.idx))
-
-    # ------------------------------------------------------------------
-    def _resolve_round(self, posted_by_warp) -> None:
-        params = self.params
-        c = self.counters
-        atomic_addrs: Dict[Tuple[int, int], int] = {}
-        self._round_mem_stall = False
-
-        # Resolution order: ascending warp id, lane order within a warp —
-        # unless a schedule policy permutes either (every permutation is a
-        # legal interleaving of the round's concurrent accesses; the
-        # sanitizer's schedule explorer uses this to expose order
-        # dependence).  Cost accounting below is order-independent.
-        policy = self.schedule_policy
-        warp_ids = range(self.num_warps)
-        if policy is not None:
-            warp_ids = policy.warp_order(self.block_id, c.rounds, self.num_warps)
-
-        for wid in warp_ids:
-            warp_posts = posted_by_warp[wid]
-            if not warp_posts:
-                continue
-            commits = warp_posts
-            if policy is not None:
-                perm = policy.commit_order(
-                    self.block_id, c.rounds, wid, len(warp_posts)
-                )
-                commits = [warp_posts[i] for i in perm]
-            # Pass 1: side effects in (permuted) commit order.
-            for lane, ev in commits:
-                tag = ev.tag
-                if tag == T_LOAD:
-                    lane.pending = ev.buf.read_run(ev.idxs)
-                    rec = self.recorder
-                    if (
-                        rec is not None
-                        and rec.track_reads
-                        and ev.buf.space == "global"
-                        and rec.tracks(ev.buf)
-                    ):
-                        rec.on_load(ev.buf, ev.idxs)
-                elif tag == T_STORE:
-                    if len(ev.idxs) != len(ev.values):
-                        raise SimulationError(
-                            f"store index/value arity mismatch on {ev.buf.name!r}"
-                        )
-                    rec = self.recorder
-                    if (
-                        rec is not None
-                        and ev.buf.space == "global"
-                        and rec.tracks(ev.buf)
-                    ):
-                        for i, v in zip(ev.idxs, ev.values):
-                            rec.on_store(ev.buf, i, v)
-                            ev.buf.write(i, v)
-                    else:
-                        for i, v in zip(ev.idxs, ev.values):
-                            ev.buf.write(i, v)
-                elif tag == T_ATOMIC:
-                    if ev.buf.space == "global":
-                        self._round_mem_stall = True
-                    if self.faults is None:
-                        lane.pending = apply_atomic(
-                            ev.buf, ev.idx, ev.op, ev.operand
-                        )
-                    else:
-                        lane.pending = apply_atomic_resilient(
-                            ev.buf, ev.idx, ev.op, ev.operand, self.faults,
-                            self.block_id, c.rounds, lane.tid,
-                        )
-                    rec = self.recorder
-                    if (
-                        rec is not None
-                        and ev.buf.space == "global"
-                        and rec.tracks(ev.buf)
-                    ):
-                        rec.on_atomic(ev.buf, ev.idx, ev.op, ev.operand, lane.pending)
-                    key = self._contention_key(ev)
-                    atomic_addrs[key] = atomic_addrs.get(key, 0) + 1
-                elif tag == T_SYNCWARP:
-                    lane.state = WAIT_WARP
-                    lane.wait_key = ev.mask
-                elif tag == T_SYNCBLOCK:
-                    lane.state = WAIT_BLOCK
-                    lane.wait_key = (
-                        ev.bar_id,
-                        None if ev.count is None else int(ev.count),
-                    )
-                elif tag == T_SHUFFLE:
-                    lane.state = WAIT_SHFL
-                    lane.wait_key = (ev.mask, ev.mode)
-                    lane.posted = ev
-                elif tag == T_VOTE:
-                    lane.state = WAIT_SHFL
-                    lane.wait_key = (ev.mask, ("vote", ev.mode))
-                    lane.posted = ev
-                # T_COMPUTE: no architectural side effect.
-
-            # Pass 2: issue/memory cost accounting with grouping.
-            groups: Dict[tuple, List[Tuple[Lane, object]]] = {}
-            for item in warp_posts:
-                groups.setdefault(_signature(item[1]), []).append(item)
-            c.issues += len(groups)
-            c.divergent_issues += len(groups) - 1
-            for sig, items in groups.items():
-                tag = sig[0]
-                if tag == T_COMPUTE:
-                    max_ops = max(ev.ops for _, ev in items)
-                    c.issue_cycles += params.op_cycles(sig[1], max_ops)
-                elif tag == T_LOAD or tag == T_STORE:
-                    self._account_memory(tag, sig[1], items)
-                elif tag == T_ATOMIC:
-                    n = len(items)
-                    c.atomics += n
-                    c.issue_cycles += params.op_cost.get("st", 1.0)
-                    c.mem_cycles += n * params.atomic_cycles
-                elif tag == T_SHUFFLE or tag == T_VOTE:
-                    c.issue_cycles += 1.0
-                # Barrier arrival issue cost is folded into sync_cycles
-                # charged at release.
-
-        # Device-wide atomic contention within the round.
-        extra = sum(n - 1 for n in atomic_addrs.values() if n > 1)
-        if extra:
-            c.atomic_conflicts += extra
-            c.mem_cycles += extra * params.atomic_conflict_cycles
-        # Dependent-latency exposure: L1-missing loads/atomics issued this
-        # round stall their warps; concurrent warps' accesses overlap into
-        # one exposure.
-        if self._round_mem_stall:
-            c.mem_serial_rounds += 1
-
-    def _account_memory(self, tag: int, space: str, items) -> None:
-        params = self.params
-        c = self.counters
-        positions = max(len(ev.idxs) for _, ev in items)
-        nelem = sum(len(ev.idxs) for _, ev in items)
-        if tag == T_LOAD:
-            c.loads += nelem
-            c.issue_cycles += params.op_cost.get("ld", 1.0) * positions
-        else:
-            c.stores += nelem
-            c.issue_cycles += params.op_cost.get("st", 1.0) * positions
-        if space == "global":
-            # Distinct sectors across the whole unrolled run, then filtered
-            # through the per-block L1 sector cache: hits ride the cheap L1
-            # pipe and expose no DRAM latency, misses pay full bandwidth and
-            # flag the round as a dependent-latency stall.
-            sb = params.sector_bytes
-            sectors = set()
-            transactions = 0
-            for k in range(positions):
-                pos_sectors = set()
-                for _, ev in items:
-                    idxs = ev.idxs
-                    if k < len(idxs):
-                        buf = ev.buf
-                        a = buf.byte_address(idxs[k])
-                        pos_sectors.add(a // sb)
-                        pos_sectors.add((a + buf.itemsize - 1) // sb)
-                transactions += len(pos_sectors)
-                sectors |= pos_sectors
-            # Sector sets are filtered through the L1 in ascending sector
-            # order on both engines, so the caches evolve identically.
-            hits, misses = self._l1.access(sorted(sectors))
-            c.l1_hits += hits
-            c.l1_misses += misses
-            if tag == T_LOAD:
-                c.global_load_sectors += misses
-                if misses:
-                    self._round_mem_stall = True
-            else:
-                c.global_store_sectors += misses
-            c.lsu_transactions += transactions
-            c.mem_cycles += (
-                misses * params.sector_cycles
-                + hits * params.l1_sector_cycles
-                + transactions * params.lsu_transaction_cycles
-            )
-        elif space == "shared":
-            passes = 0
-            for k in range(positions):
-                addrs = [
-                    ev.buf.byte_address(ev.idxs[k])
-                    for _, ev in items
-                    if k < len(ev.idxs)
-                ]
-                passes += shared_conflict_degree(
-                    addrs, params.shared_banks, params.shared_word_bytes
-                )
-            c.shared_passes += passes
-            c.mem_cycles += passes * params.shared_pass_cycles
-        else:  # local
-            c.local_accesses += nelem
-            c.mem_cycles += nelem * params.local_access_cycles
-
-    def _account_memory_fast(self, tag: int, space: str, evs) -> None:
-        """Fast twin of :meth:`_account_memory`, taking a raw event list.
-
-        Specialized for the hot shape — every event of the group touches
-        the same buffer with equal-length index runs (the lockstep pattern
-        a converged warp produces).  There the per-position set churn
-        collapses into one sector computation: small sets per position
-        (a single-position group of 48 or more lanes uses NumPy unique
-        counts instead, to amortize array overhead).  Aligned elements
-        (``sector_bytes % itemsize == 0`` and an aligned base) can never
-        straddle a sector, halving the address work.  Any other shape
-        falls back to the scalar per-position logic, identical to the
-        instrumented twin.  Both twins push sector runs through the shared
-        :class:`L1SectorCache` in ascending sector order, so counters and
-        cache state are bit-identical.
+        The hot shape — every event of the group on the same buffer with
+        equal-length index runs (the lockstep pattern a converged warp
+        produces) — computes addresses inline from the buffer's base and
+        item size, one small set per position; a unit-stride
+        single-position run collapses to one sector interval (global) or a
+        closed-form bank occupancy (shared).  Aligned elements
+        (``sector_bytes % itemsize == 0`` and an aligned base) never
+        straddle a sector, halving the address work.  Ragged or
+        multi-buffer groups walk :meth:`~repro.gpu.memory.Buffer.byte_address`
+        per position.  Sector batches reach the per-block
+        :class:`L1SectorCache` in ascending order.
         """
         params = self.params
         c = self.counters
@@ -1254,80 +949,54 @@ class ThreadBlock:
             c.stores += nelem
             c.issue_cycles += self._cost_st * positions
         if space == "global":
+            # Distinct sectors across the whole unrolled run, then filtered
+            # through the L1: hits ride the cheap L1 pipe and expose no DRAM
+            # latency, misses pay full bandwidth and flag the round as a
+            # dependent-latency stall.  Each position is one LSU
+            # transaction per distinct sector it touches.
             sb = params.sector_bytes
-            if lockstep:
+            run = self._consec_run(evs) if lockstep and npos == 1 else None
+            if run is not None:
+                # Unit-stride ascending run (the coalesced-stream pattern):
+                # the footprint is one contiguous sector interval — two
+                # divisions replace the set walk.  Pass-1 side effects
+                # already validated (and int()-truncated) every index, so
+                # the arithmetic matches ``byte_address`` exactly.
+                isz = buf0.itemsize
+                s0 = (buf0.base + run[0] * isz) // sb
+                s1 = (buf0.base + run[1] * isz + (isz - 1)) // sb
+                secs = range(s0, s1 + 1)
+                transactions = s1 - s0 + 1
+            elif lockstep:
                 isz = buf0.itemsize
                 base = buf0.base
-                # Pass-1 side effects already validated (and int()-
-                # truncated) every index, so the arithmetic below matches
-                # ``byte_address`` exactly.
-                aligned = sb % isz == 0 and base % isz == 0
-                if npos == 1:
-                    run = self._consec_run(evs)
-                    if run is not None:
-                        # Unit-stride ascending run (the coalesced-stream
-                        # pattern): the footprint is one contiguous sector
-                        # interval — two divisions replace the set walk.
-                        s0 = (base + run[0] * isz) // sb
-                        s1 = (base + run[1] * isz + (isz - 1)) // sb
-                        secs = range(s0, s1 + 1)
-                        transactions = s1 - s0 + 1
-                    elif aligned:
-                        if n < 48:
-                            secs = sorted(
-                                {(base + int(ev.idxs[0]) * isz) // sb for ev in evs}
-                            )
-                        else:
-                            lo = (
-                                base
-                                + np.fromiter(
-                                    (ev.idxs[0] for ev in evs), np.int64, n
-                                )
-                                * isz
-                            ) // sb
-                            secs = np.unique(lo).tolist()
-                        transactions = len(secs)
-                    else:
-                        pos = set()
-                        spill = isz - 1
-                        for ev in evs:
-                            a = base + int(ev.idxs[0]) * isz
-                            pos.add(a // sb)
-                            pos.add((a + spill) // sb)
-                        secs = sorted(pos)
-                        transactions = len(secs)
-                else:
-                    # Multi-position group (at most one warp): one small
-                    # sector set per position.
-                    spill = 0 if aligned else isz - 1
-                    sectors = set()
-                    transactions = 0
-                    for k in range(npos):
-                        pos = {(base + int(ev.idxs[k]) * isz) // sb for ev in evs}
-                        if spill:
-                            pos.update(
-                                (base + int(ev.idxs[k]) * isz + spill) // sb
-                                for ev in evs
-                            )
-                        transactions += len(pos)
-                        sectors |= pos
-                    secs = sorted(sectors)
+                spill = 0 if sb % isz == 0 and base % isz == 0 else isz - 1
+                sectors = set()
+                transactions = 0
+                for k in range(npos):
+                    pos = {(base + int(ev.idxs[k]) * isz) // sb for ev in evs}
+                    if spill:
+                        pos.update(
+                            (base + int(ev.idxs[k]) * isz + spill) // sb
+                            for ev in evs
+                        )
+                    transactions += len(pos)
+                    sectors |= pos
+                secs = sorted(sectors)
             else:
-                # Ragged or multi-buffer group: scalar logic, identical to
-                # the instrumented twin.
                 sectors = set()
                 transactions = 0
                 for k in range(positions):
-                    pos_sectors = set()
+                    pos = set()
                     for ev in evs:
                         idxs = ev.idxs
                         if k < len(idxs):
                             buf = ev.buf
                             a = buf.byte_address(idxs[k])
-                            pos_sectors.add(a // sb)
-                            pos_sectors.add((a + buf.itemsize - 1) // sb)
-                    transactions += len(pos_sectors)
-                    sectors |= pos_sectors
+                            pos.add(a // sb)
+                            pos.add((a + buf.itemsize - 1) // sb)
+                    transactions += len(pos)
+                    sectors |= pos
                 secs = sorted(sectors)
             hits, misses = self._l1.access(secs)
             c.l1_hits += hits
@@ -1345,12 +1014,12 @@ class ThreadBlock:
                 + transactions * params.lsu_transaction_cycles
             )
         elif space == "shared":
+            banks = params.shared_banks
+            wb = params.shared_word_bytes
             passes = 0
             if lockstep:
                 isz = buf0.itemsize
                 base = buf0.base
-                banks = params.shared_banks
-                wb = params.shared_word_bytes
                 run = (
                     self._consec_run(evs)
                     if npos == 1 and isz % wb == 0
@@ -1362,37 +1031,23 @@ class ThreadBlock:
                     # ``isz // wb``, so the conflict degree is the maximum
                     # round-robin occupancy over the ``banks // gcd`` banks
                     # it cycles through.
-                    stride = isz // wb
-                    period = banks // math.gcd(stride, banks)
+                    period = banks // math.gcd(isz // wb, banks)
                     passes = -(-n // period)
-                elif npos == 1 and n < 48:
-                    per_bank: Dict[int, set] = {}
-                    for ev in evs:
-                        word = (base + int(ev.idxs[0]) * isz) // wb
-                        bank = word % banks
-                        s = per_bank.get(bank)
-                        if s is None:
-                            per_bank[bank] = {word}
-                        else:
-                            s.add(word)
-                    passes = max(len(words) for words in per_bank.values())
                 else:
-                    mat = np.asarray([ev.idxs for ev in evs])
-                    if mat.dtype != np.int64:
-                        mat = mat.astype(np.int64)
-                    words = (base + mat * isz) // wb
                     for k in range(npos):
-                        w = np.unique(words[:, k])
-                        passes += int(np.bincount(w % banks).max())
+                        passes += shared_conflict_degree(
+                            [base + int(ev.idxs[k]) * isz for ev in evs],
+                            banks, wb,
+                        )
             else:
                 for k in range(positions):
-                    addrs = [
-                        ev.buf.byte_address(ev.idxs[k])
-                        for ev in evs
-                        if k < len(ev.idxs)
-                    ]
                     passes += shared_conflict_degree(
-                        addrs, params.shared_banks, params.shared_word_bytes
+                        [
+                            ev.buf.byte_address(ev.idxs[k])
+                            for ev in evs
+                            if k < len(ev.idxs)
+                        ],
+                        banks, wb,
                     )
             c.shared_passes += passes
             c.mem_cycles += passes * params.shared_pass_cycles
@@ -1400,85 +1055,179 @@ class ThreadBlock:
             c.local_accesses += nelem
             c.mem_cycles += nelem * params.local_access_cycles
 
-    # ------------------------------------------------------------------
-    # NOTE: the old round-local ``_check_races`` lived here.  It compared
-    # only accesses posted in the *same* scheduling round, so conflicting
-    # accesses in different rounds with no intervening barrier were never
-    # compared — a provable false negative.  It is subsumed by the
-    # happens-before detector in :mod:`repro.sanitizer.races`, attached via
-    # ``detect_races=True`` / ``sanitize=`` on the launch.
+    # -- round end -------------------------------------------------------
+    def _settle_round(self) -> None:
+        """Charge the round's device-wide costs and reset its state.
 
-    # ------------------------------------------------------------------
-    def _release_barriers(self) -> int:
+        Atomics to one address within a round contend: every access past
+        the first pays the conflict penalty.  L1-missing loads and global
+        atomics issued this round stall their warps; concurrent warps'
+        accesses overlap into one dependent-latency exposure.
+        """
+        c = self.counters
+        addrs = self._atomic_addrs
+        if addrs:
+            extra = 0
+            for n in addrs.values():
+                if n > 1:
+                    extra += n - 1
+            if extra:
+                c.atomic_conflicts += extra
+                c.mem_cycles += extra * self.params.atomic_conflict_cycles
+            addrs.clear()
+        if self._round_mem_stall:
+            c.mem_serial_rounds += 1
+            self._round_mem_stall = False
+
+    def _release_barriers(self, live: int) -> int:
+        """Release ready groups off the maintained waiter structures.
+
+        Block-level barriers release first, grouped by ``(bar_id, count)``:
+        a classic barrier (count None) needs all ``live`` lanes, a named
+        counted barrier releases once ``count`` lanes arrive.  A round that
+        releases one skips warp-level work.  Otherwise each warp, in
+        ascending order, releases its converged warp barriers and then its
+        shuffle/vote groups.  The monitor, if any, sees each release after
+        it resolved, with the participants in ascending tid order.
+        """
         params = self.params
         c = self.counters
         mon = self.monitor
-        rnd = c.rounds
         released = 0
 
-        # Block-level barriers, grouped by (bar_id, count).  A classic
-        # barrier (count None) needs every live lane at the same key; a
-        # named counted barrier releases as soon as `count` lanes arrive.
-        live = [l for l in self.lanes if l.state != DONE]
-        by_bar: Dict[tuple, List[Lane]] = {}
-        for lane in live:
-            if lane.state == WAIT_BLOCK:
-                by_bar.setdefault(lane.wait_key, []).append(lane)
-        for key, waiters in by_bar.items():
-            _, count = key
-            if count is None:
-                ready = len(waiters) == len(live)
-            else:
-                ready = len(waiters) >= count
-            if ready:
-                for lane in waiters:
-                    lane.state = RUN
-                    lane.pending = None
-                    lane.wait_key = None
-                c.syncblocks += 1
-                c.sync_cycles += params.syncthreads_cycles
-                released += len(waiters)
-                if mon is not None:
-                    mon.on_release(
-                        self, rnd, "block", key, [l.tid for l in waiters]
-                    )
-        if released:
-            return released
-
-        for warp_lanes in self._warps:
-            # Warp-level named barriers, grouped by mask.
-            by_mask: Dict[int, List[Lane]] = {}
-            shfl_groups: Dict[tuple, List[Lane]] = {}
-            for lane in warp_lanes:
-                if lane.state == WAIT_WARP:
-                    by_mask.setdefault(lane.wait_key, []).append(lane)
-                elif lane.state == WAIT_SHFL:
-                    shfl_groups.setdefault(lane.wait_key, []).append(lane)
-
-            for mask, waiters in by_mask.items():
-                if self._mask_converged(warp_lanes, mask, waiters, WAIT_WARP, mask):
+        bw = self._block_waiters
+        if bw:
+            done_keys = []
+            for key, waiters in bw.items():
+                count = key[1]
+                if count is None:
+                    ready = len(waiters) == live
+                else:
+                    ready = len(waiters) >= count
+                if ready:
                     for lane in waiters:
                         lane.state = RUN
                         lane.pending = None
                         lane.wait_key = None
-                    c.syncwarps += 1
-                    c.sync_cycles += params.syncwarp_cycles
+                    c.syncblocks += 1
+                    c.sync_cycles += params.syncthreads_cycles
                     released += len(waiters)
+                    done_keys.append(key)
                     if mon is not None:
-                        mon.on_release(
-                            self, rnd, "warp", mask, [l.tid for l in waiters]
-                        )
+                        mon.on_release(self, c.rounds, "block", key,
+                                       sorted(l.tid for l in waiters))
+            if done_keys:
+                for key in done_keys:
+                    del bw[key]
+                self._n_waiters -= released
+                return released
 
-            for key, waiters in shfl_groups.items():
-                mask = key[0]
-                if self._mask_converged(warp_lanes, mask, waiters, WAIT_SHFL, key):
-                    self._resolve_shfl_group(key, waiters)
-                    released += len(waiters)
-                    if mon is not None:
-                        mon.on_release(
-                            self, rnd, "shfl", key, [l.tid for l in waiters]
+        full = self._full_mask
+        for wid in range(self.num_warps):
+            warp_lanes = self._warps[wid]
+            nlanes = len(warp_lanes)
+            by_mask = self._warp_waiters[wid]
+            if by_mask:
+                done_masks = []
+                for mask, waiters in by_mask.items():
+                    # Full-warp groups (the common case) are ready exactly
+                    # when every lane of the warp sits in the group — a
+                    # retired or diverged lane keeps the count short, and
+                    # the mask check would refuse the release too.
+                    if (
+                        len(waiters) == nlanes
+                        if mask == full
+                        else self._mask_converged(
+                            warp_lanes, mask, waiters, WAIT_WARP, mask
                         )
+                    ):
+                        for lane in waiters:
+                            lane.state = RUN
+                            lane.pending = None
+                            lane.wait_key = None
+                        c.syncwarps += 1
+                        c.sync_cycles += params.syncwarp_cycles
+                        released += len(waiters)
+                        self._n_waiters -= len(waiters)
+                        done_masks.append(mask)
+                        if mon is not None:
+                            mon.on_release(self, c.rounds, "warp", mask,
+                                           sorted(l.tid for l in waiters))
+                for mask in done_masks:
+                    del by_mask[mask]
+
+            shfl = self._shfl_waiters[wid]
+            if shfl:
+                done_shfl = []
+                for key, waiters in shfl.items():
+                    mask = key[0]
+                    if (
+                        len(waiters) == nlanes
+                        if mask == full
+                        else self._mask_converged(
+                            warp_lanes, mask, waiters, WAIT_SHFL, key
+                        )
+                    ):
+                        self._resolve_shfl_group(key, waiters)
+                        released += len(waiters)
+                        self._n_waiters -= len(waiters)
+                        done_shfl.append(key)
+                        if mon is not None:
+                            mon.on_release(self, c.rounds, "shfl", key,
+                                           sorted(l.tid for l in waiters))
+                for key in done_shfl:
+                    del shfl[key]
         return released
+
+    @staticmethod
+    def _contention_key(ev) -> tuple:
+        """Round-local atomic contention key for ``ev.buf[ev.idx]``.
+
+        Keyed by the buffer's stable device address ``(space, base)`` so
+        two distinct :class:`~repro.gpu.memory.Buffer` objects aliasing
+        the same storage contend correctly (``id()`` would treat them as
+        different addresses).  Lane-private ``local`` buffers have no
+        stable address space — all carry ``base == 0`` — so object
+        identity *is* the location there (the round's events keep the
+        buffers alive, making ``id`` collision-free within the round).
+        """
+        buf = ev.buf
+        if buf.space == "local":
+            return (id(buf), int(ev.idx))
+        return (buf.space, buf.base, int(ev.idx))
+
+    # ------------------------------------------------------------------
+    def _resolve_round(self, posted_by_warp) -> None:
+        """Apply and account the instrumented engine's buffered posts."""
+        c = self.counters
+        side = self._side
+        # Resolution order: ascending warp id, lane order within a warp —
+        # unless a schedule policy permutes either (every permutation is a
+        # legal interleaving of the round's concurrent accesses; the
+        # sanitizer's schedule explorer uses this to expose order
+        # dependence).  Accounting groups stay in lane order.
+        policy = self.schedule_policy
+        warp_ids = range(self.num_warps)
+        if policy is not None:
+            warp_ids = policy.warp_order(self.block_id, c.rounds, self.num_warps)
+
+        for wid in warp_ids:
+            warp_posts = posted_by_warp[wid]
+            if not warp_posts:
+                continue
+            commits = warp_posts
+            if policy is not None:
+                perm = policy.commit_order(
+                    self.block_id, c.rounds, wid, len(warp_posts)
+                )
+                commits = [warp_posts[i] for i in perm]
+            # Pass 1: side effects in (permuted) commit order.
+            for lane, ev in commits:
+                handler = side[ev.tag]
+                if handler is not None:  # Compute has no side effect
+                    handler(lane, ev)
+            # Pass 2: issue/memory cost accounting with grouping.
+            self._account_issues([ev for _, ev in warp_posts])
 
     @staticmethod
     def _resolve_shfl_group(key: tuple, waiters) -> None:

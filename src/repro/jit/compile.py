@@ -29,7 +29,7 @@ Script steps
     ``op_cost[kind] * max(ops)`` charge.
 ``('L', npos, nelem, secs, transactions)``
     one load issue; ``secs``/``transactions`` precompute the sector
-    footprint exactly as :meth:`ThreadBlock._account_memory_fast`
+    footprint exactly as :meth:`ThreadBlock._account_memory`
     would (the L1 hit/miss split stays dynamic at consumption).
 ``('S', npos, nelem, secs, transactions, buf, commits)``
     one store issue; ``commits`` is a per-position list of
@@ -121,7 +121,7 @@ def _run_bounds(sel, nlanes: int):
 
 def _sector_footprint(selectors, nlanes: int, buf, params):
     """``(secs, transactions)`` of a converged, lockstep, global-space
-    issue group: the same results ``_account_memory_fast`` computes for
+    issue group: the same results ``ThreadBlock._account_memory`` computes for
     it (not the same code path — this works on lane vectors, always
     through NumPy)."""
     sb = params.sector_bytes
