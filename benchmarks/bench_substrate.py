@@ -11,15 +11,11 @@ this file timed device construction inside the closures, understating the
 interpreter's true rate).
 
 The headline legs are the **engine speedup gates**: the streaming and
-generic-SIMD workloads run under the fast and instrumented round engines,
-and the ``jit_*`` workloads run the trace-compiling JIT tier against the
-fast engine (see ``docs/PERF.md``) — all interleaved within one process
-and scored best-of-N so machine noise cancels out of the ratio.
-Counters are asserted bit-exact between the engines on every measurement
-(JIT telemetry keys stripped first, and against the instrumented engine
-too) — the speedup claims are only meaningful because the semantics are
-identical.  The JIT legs carry a hard per-kernel floor in ``--check``
-(:func:`jit_floor`) on top of the baseline tolerance.
+generic-SIMD workloads run under the fast and instrumented round engines
+(see ``docs/PERF.md``), interleaved within one process and scored
+best-of-N so machine noise cancels out of the ratio.  Counters are
+asserted bit-exact between the engines on every measurement — the
+speedup claims are only meaningful because the semantics are identical.
 
 Run standalone (prints BENCH lines, writes/checks ``BENCH_substrate.json``,
 used by the CI ``perf-smoke`` job)::
@@ -66,26 +62,6 @@ TOLERANCE_PCT = 25
 
 #: Interleaved measurement pairs per workload; the score is best-of.
 DEFAULT_REPS = 7
-
-#: The JIT tier's acceptance bar: ``>= 10x`` the instrumented engine on
-#: the ``jit_*`` gate workloads.
-JIT_MIN_SPEEDUP = 10.0
-
-#: The fast engine's lead over the instrumented engine on each ``jit_*``
-#: gate kernel while the acceptance bar was set, when the instrumented
-#: engine still carried its own copies of the accounting and barrier
-#: release code: the median of 5 runs of :func:`measure_speedup`'s
-#: best-of-7 protocol on those kernels (2-vCPU x86-64 host, CPython 3.11).
-#: The jit legs are timed against the fast engine, whose speed does not
-#: depend on how the reference engine is written; dividing the bar by
-#: this lead keeps each floor exactly as strict as the 10x bar was.
-FAST_LEAD_AT_ACCEPTANCE = {"jit_streaming": 1.99, "jit_stencil": 2.12}
-
-
-def jit_floor(name: str) -> float:
-    """Hard floor on the jit/fast ratio of one ``jit_*`` gate workload,
-    enforced by ``--check`` whatever the committed baseline says."""
-    return JIT_MIN_SPEEDUP / FAST_LEAD_AT_ACCEPTANCE[name]
 
 #: Hard floor on the incremental-vs-full snapshot ratio for the
 #: ``snapshot_rollback`` workload.  This gate is floor-only (never
@@ -204,84 +180,6 @@ WORKLOADS = {
 
 
 # ---------------------------------------------------------------------------
-# JIT gate workloads.
-#
-# These are the shapes the trace-compiling tier exists for: convergent
-# grid-stride loops over global memory.  They use the portable ``tc``
-# API (not raw events) because the same kernel body must drive both the
-# scalar ThreadCtx and the JIT's vectorized VecThreadCtx.  Each maker
-# returns a ``run(engine)`` closure; measurements interleave
-# ``engine="jit"`` against ``engine="instrumented"``.
-
-
-def make_jit_streaming():
-    """Coalesced float32 triad, 4 blocks x 128 threads, grid-stride."""
-    dev = Device(nvidia_a100())
-    n = 32768
-    x = dev.from_array("x", np.arange(n, dtype=np.float32))
-    y = dev.alloc("y", n, np.float32)
-    expect = np.arange(n, dtype=np.float32) * np.float32(2.0) + np.float32(1.0)
-
-    def k(tc, x, y, n):
-        i = tc.global_tid
-        step = tc.block_dim * tc.num_blocks
-        while i < n:
-            v = yield from tc.load(x, i)
-            yield from tc.compute("fma", 1)
-            yield from tc.store(y, i, v * 2.0 + 1.0)
-            i += step
-
-    def run(engine):
-        t0 = time.perf_counter()
-        kc = dev.launch(k, 4, 128, args=(x, y, n), engine=engine)
-        dt = time.perf_counter() - t0
-        assert np.array_equal(y.to_numpy(), expect)
-        return kc, dt
-
-    return run
-
-
-def make_jit_stencil():
-    """3-point float32 stencil with a halo: three overlapping coalesced
-    loads per iteration exercise the L1 sector cache under the JIT's
-    precomputed footprints."""
-    dev = Device(nvidia_a100())
-    n = 32768
-    x = dev.from_array("x", np.linspace(0.0, 1.0, n + 2, dtype=np.float32))
-    out = dev.alloc("out", n, np.float32)
-    xs = x.to_numpy()
-    # Same expression as the kernel: NEP-50 keeps float32 through the
-    # python-float coefficients, so this is bit-exact against any engine.
-    expect = 0.25 * xs[:n] + 0.5 * xs[1 : n + 1] + 0.25 * xs[2 : n + 2]
-
-    def k(tc, x, out, n):
-        i = tc.global_tid
-        step = tc.block_dim * tc.num_blocks
-        while i < n:
-            a = yield from tc.load(x, i)
-            b = yield from tc.load(x, i + 1)
-            c = yield from tc.load(x, i + 2)
-            yield from tc.compute("fma", 4)
-            yield from tc.store(out, i, 0.25 * a + 0.5 * b + 0.25 * c)
-            i += step
-
-    def run(engine):
-        t0 = time.perf_counter()
-        kc = dev.launch(k, 4, 128, args=(x, out, n), engine=engine)
-        dt = time.perf_counter() - t0
-        assert np.array_equal(out.to_numpy(), expect)
-        return kc, dt
-
-    return run
-
-
-JIT_WORKLOADS = {
-    "jit_streaming": make_jit_streaming,
-    "jit_stencil": make_jit_stencil,
-}
-
-
-# ---------------------------------------------------------------------------
 # Snapshot gate workload.
 #
 # The retry-ladder / serve-clone shape: a large device arena, a loop of
@@ -374,58 +272,6 @@ def measure_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
     }
 
 
-def _strip_jit_extras(kc):
-    """Remove the JIT telemetry keys so ``identical()`` compares only the
-    architectural counters (mirrors the differential suite's helper)."""
-    kc.extra.pop("engine", None)
-    for key in [k for k in kc.extra if k.startswith("jit_")]:
-        del kc.extra[key]
-    return kc
-
-
-def measure_jit_speedup(name: str, reps: int = DEFAULT_REPS) -> dict:
-    """Interleaved jit/fast measurement of one JIT gate workload.
-
-    Same protocol as :func:`measure_speedup`; additionally requires that
-    every warp actually compiled (a silently deoptimizing workload would
-    make the ratio meaningless) and that the counters — after stripping
-    the telemetry keys — are bit-identical to both interpreters' (one
-    untimed instrumented launch supplies the reference).
-    """
-    run = JIT_WORKLOADS[name]()
-    kc_instr, _ = run("instrumented")
-    best_jit = best_fast = float("inf")
-    kc_jit = kc_fast = None
-    for _ in range(reps):
-        kc, dt = run("jit")
-        if dt < best_jit:
-            best_jit, kc_jit = dt, kc
-        kc, dt = run(None)  # auto-selects the fast engine (no hooks)
-        if dt < best_fast:
-            best_fast, kc_fast = dt, kc
-    warps = kc_jit.extra.get("jit_warps_compiled", 0.0)
-    deopts = {k: v for k, v in kc_jit.extra.items() if k.startswith("jit_deopt_")}
-    assert warps > 0 and not deopts, (
-        f"{name}: gate workload did not stay compiled "
-        f"(warps={warps}, deopts={deopts}) — speedup is void"
-    )
-    assert _strip_jit_extras(kc_jit).identical(kc_instr), (
-        f"{name}: jit/instrumented counters diverged — speedup is void"
-    )
-    assert kc_jit.identical(kc_fast), (
-        f"{name}: jit/fast counters diverged — speedup is void"
-    )
-    steps = kc_jit.total("lane_steps")
-    return {
-        "lane_steps": int(steps),
-        "rounds": int(kc_jit.rounds),
-        "cycles": float(kc_jit.cycles),
-        "jit_steps_per_s": steps / best_jit,
-        "fast_steps_per_s": steps / best_fast,
-        "jit_speedup": best_fast / best_jit,
-    }
-
-
 # ---------------------------------------------------------------------------
 # pytest-benchmark legs
 
@@ -474,23 +320,6 @@ def test_fastpath_speedup_gate():
         assert r["speedup"] > 1.0, f"{name}: fast engine slower than instrumented"
 
 
-def test_jit_speedup_gate():
-    """The JIT gate workloads compile fully, agree bit-exactly, and are
-    clearly ahead of the fast interpreter.
-
-    The light pytest leg keeps a generous floor (three tenths of the hard
-    one) so loaded hosts cannot flake it; the hard :func:`jit_floor`
-    lives in the CI ``perf-smoke`` ``--check`` run, measured best-of-N
-    interleaved.
-    """
-    for name in JIT_WORKLOADS:
-        r = measure_jit_speedup(name, reps=3)
-        assert r["jit_speedup"] > 0.3 * jit_floor(name), (
-            f"{name}: jit speedup {r['jit_speedup']:.2f}x is not clearly "
-            "ahead of the fast interpreter"
-        )
-
-
 def test_snapshot_speedup_gate():
     """Incremental (chained) snapshots clearly beat full-copy snapshots
     on a sparse-write rollback loop, and both restore bit-exactly.
@@ -503,17 +332,6 @@ def test_snapshot_speedup_gate():
         f"snapshot_rollback: incremental snapshots only "
         f"{r['snapshot_speedup']:.2f}x over full copies"
     )
-
-
-@pytest.mark.benchmark(group="substrate")
-def test_scheduler_throughput_streaming_jit(benchmark):
-    """Streaming triad under the trace-compiling JIT tier."""
-    run = make_jit_streaming()
-
-    kc, _ = benchmark(run, "jit")
-    benchmark.extra_info["rounds"] = kc.rounds
-    benchmark.extra_info["lane_steps"] = kc.total("lane_steps")
-    benchmark.extra_info["jit_warps_compiled"] = kc.extra["jit_warps_compiled"]
 
 
 @pytest.mark.benchmark(group="substrate")
@@ -629,8 +447,6 @@ def test_coalescing_cost_calibration(benchmark):
 
 
 def run_measurements(reps: int, only=None) -> dict:
-    from repro.jit import snapshot as jit_snapshot
-
     def wanted(name):
         return only is None or name in only
 
@@ -644,18 +460,6 @@ def run_measurements(reps: int, only=None) -> dict:
             f"BENCH substrate {name}: fast {r['fast_steps_per_s'] / 1e3:.1f}k "
             f"steps/s  instr {r['instr_steps_per_s'] / 1e3:.1f}k steps/s  "
             f"speedup {r['speedup']:.2f}x  (rounds={r['rounds']}, "
-            f"cycles={r['cycles']:.0f})"
-        )
-    for name in JIT_WORKLOADS:
-        if not wanted(name):
-            continue
-        r = measure_jit_speedup(name, reps=reps)
-        results[name] = r
-        print(
-            f"BENCH substrate {name}: jit {r['jit_steps_per_s'] / 1e3:.1f}k "
-            f"steps/s  fast {r['fast_steps_per_s'] / 1e3:.1f}k steps/s  "
-            f"speedup {r['jit_speedup']:.2f}x  (gate >= "
-            f"{jit_floor(name):.2f}x, rounds={r['rounds']}, "
             f"cycles={r['cycles']:.0f})"
         )
     if wanted("snapshot_rollback"):
@@ -673,12 +477,7 @@ def run_measurements(reps: int, only=None) -> dict:
         "schema": 1,
         "metric": "lane_steps_per_second",
         "tolerance_pct": TOLERANCE_PCT,
-        "jit_min_speedup": JIT_MIN_SPEEDUP,
-        "jit_floors": {name: jit_floor(name) for name in JIT_WORKLOADS},
         "snapshot_min_speedup": SNAPSHOT_MIN_SPEEDUP,
-        # Advisory process-global JIT totals for this bench run (trace
-        # cache temperature, deopt tallies); recorded, never gated.
-        "jit_stats": jit_snapshot(),
         "workloads": results,
     }
 
@@ -702,11 +501,6 @@ def check_against_baseline(measured: dict, baseline_path: str,
             # Floor-only gate: the absolute ratio is sparsity- and
             # machine-dependent, so no baseline-relative band.
             ratio_key, lo = "snapshot_speedup", snap_min
-        elif "jit_speedup" in base:
-            ratio_key = "jit_speedup"
-            # The JIT tier's acceptance bar is absolute: the per-kernel
-            # floor whatever the committed baseline drifted to.
-            lo = max(base[ratio_key] * (1.0 - tol), jit_floor(name))
         else:
             ratio_key = "speedup"
             lo = base[ratio_key] * (1.0 - tol)

@@ -160,14 +160,12 @@ class LaunchPlan:
     deadline: Optional[float] = None
     #: Optional worker-pool :class:`~repro.exec.pool.RetryPolicy`.
     retry: object = None
-    #: Resolved round-engine name (``"instrumented"``/``"fast"``/``"jit"``;
-    #: None lets the block auto-select, fast when hook-free).
-    #: ``Device.launch`` resolves the kwarg/env/hook ladder before
-    #: building the plan; hooks always force instrumented.
+    #: Resolved round-engine name (``"instrumented"``/``"fast"``; None
+    #: lets the block auto-select, fast when hook-free).  Launch paths
+    #: resolve the kwarg/env/hook ladder with
+    #: :func:`repro.gpu.block.resolve_engine` before building the plan;
+    #: hooks always force instrumented.
     engine: Optional[str] = None
-    #: Per-launch :class:`repro.jit.stats.JitCounters` when ``engine`` is
-    #: ``"jit"``; also rides ``side_state`` so worker deltas merge back.
-    jit_stats: object = None
     #: The grid as :class:`GridSegment`\ s in ascending global block id.
     #: Left None, the plan is *solo*: it becomes one segment of
     #: ``num_blocks`` running ``entry``, and executors raise that
@@ -305,7 +303,6 @@ class SerialExecutor:
                     schedule_policy=plan.schedule_policy,
                     faults=plan.faults,
                     engine=plan.engine,
-                    jit_stats=plan.jit_stats,
                 )
                 try:
                     counters = block.run()
@@ -524,7 +521,6 @@ class ParallelExecutor:
                 recorder=rec,
                 faults=plan.faults,
                 engine=plan.engine,
-                jit_stats=plan.jit_stats,
             )
             record.counters = block.run()
             record.completed = True

@@ -41,15 +41,9 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 #: Oplog entry tags.
 OP_STORE = "s"
 OP_ATOMIC = "a"
-
-#: Internal log-only tag for vectorized stores (compacted to OP_STORE
-#: semantics at :meth:`GlobalWriteRecorder.extract` time).
-_LOG_BULK = "S"
 
 
 class GlobalWriteRecorder:
@@ -95,24 +89,6 @@ class GlobalWriteRecorder:
         """
         self._log.append((OP_STORE, buf, int(idx), buf.read(idx), value))
 
-    def on_store_bulk(self, buf, idxs, values) -> None:
-        """Record one vectorized store (called just before the bulk write).
-
-        ``idxs`` is a slice or integer index array and ``values`` the
-        matching per-element array — the JIT consumption engine's
-        whole-warp commit shape.  Faulting stores never come through
-        here: their committed prefix uses the elementwise
-        :meth:`on_store` so the undo/extract order matches the
-        interpreters exactly.
-        """
-        if isinstance(idxs, slice):
-            idx = np.arange(idxs.start, idxs.stop, dtype=np.int64)
-        else:
-            idx = np.asarray(idxs, dtype=np.int64)
-        self._log.append(
-            (_LOG_BULK, buf, idx, buf.data[idx].copy(), np.asarray(values))
-        )
-
     def on_atomic(self, buf, idx, op, operand, old) -> None:
         """Record one applied atomic (old value already in hand)."""
         if not self.tracks(buf):
@@ -123,7 +99,7 @@ class GlobalWriteRecorder:
     def undo(self) -> None:
         """Revert every recorded mutation, restoring the pre-block snapshot."""
         for entry in reversed(self._log):
-            if entry[0] == OP_STORE or entry[0] == _LOG_BULK:
+            if entry[0] == OP_STORE:
                 _, buf, idx, old, _new = entry
             else:
                 _, buf, idx, _op, _operand, old = entry
@@ -143,18 +119,6 @@ class GlobalWriteRecorder:
         write_set: Dict[Tuple[int, int], object] = {}
         oplog: List[tuple] = []
         for e in self._log:
-            if e[0] == _LOG_BULK:
-                # Expand in array order — the elementwise commit order the
-                # interpreters would have used for the same store.
-                handle = e[1].handle
-                idx_arr, vals = e[2], e[4]
-                for k in range(idx_arr.size):
-                    key = (handle, int(idx_arr[k]))
-                    if key in atomic_cells:
-                        oplog.append((OP_STORE, key[0], key[1], vals[k]))
-                    else:
-                        write_set[key] = vals[k]
-                continue
             key = (e[1].handle, e[2])
             if e[0] == OP_STORE:
                 if key in atomic_cells:

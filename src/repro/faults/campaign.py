@@ -182,8 +182,8 @@ class ResilienceReport:
     #: The process-wide round-engine preference (``REPRO_ENGINE``) the
     #: campaign ran under — provenance for the report.  Every campaign
     #: plan names an in-block site, so its launches always *execute*
-    #: instrumented (``FaultPlan.hooks_blocks``); a ``jit``/``fast``
-    #: preference here documents the downgrade.
+    #: instrumented (``FaultPlan.hooks_blocks``); a ``fast`` preference
+    #: here documents the downgrade.
     engine: str = "auto"
     rows: List[Dict] = field(default_factory=list)
 
@@ -269,7 +269,7 @@ def run_campaign(
     """
     from repro.exec import ParallelExecutor, SerialExecutor, fork_available
     from repro.gpu.device import Device
-    from repro.jit import default_engine
+    from repro.gpu.block import default_engine
 
     targets = (tuple(TARGETS) if kernels is None
                else tuple(_target_by_name(n) for n in kernels))

@@ -8,9 +8,7 @@ leg                       what it pins
 ========================  ===================================================
 ``instrumented``          reference round engine, serial executor
 ``fast``                  fast-path round engine, serial executor
-``jit``                   trace-compiling round engine, serial executor
 ``fast-parallel``         fast engine under the in-process parallel executor
-``jit-parallel``          jit engine under the in-process parallel executor
 ``schedule``              instrumented engine under a seeded
                           :class:`~repro.sanitizer.ShuffleSchedule` (warp and
                           commit order permuted — race-free programs must not
@@ -22,11 +20,8 @@ leg                       what it pins
 ========================  ===================================================
 
 Every leg's final memory is compared **bit-for-bit** against the serial
-numpy oracle and every other leg; counters are compared across legs
-after stripping launch-scoped JIT telemetry (``extra["engine"]``,
-``extra["jit_*"]``) — the same carve-out the serve batch-equivalence
-contract documents, because whether a launch *compiled* is an engine
-property, not program semantics.  The schedule leg additionally skips
+numpy oracle and every other leg; counters — every numeric ``extra``
+key included — are compared across legs.  The schedule leg skips
 counter comparison entirely (see :class:`LegOutcome.compare_counters`):
 cost accounting is schedule-dependent even when memory is not.  Errors
 must agree in type and message
@@ -65,21 +60,6 @@ __all__ = [
     "run_leg",
     "run_program",
 ]
-
-#: Counter keys excluded from cross-leg comparison.  Engine identity and
-#: JIT compile/deopt telemetry are launch-scoped (the batch path omits
-#: them entirely); cycle/occupancy composition is engine-independent and
-#: **is** compared.
-_TELEMETRY_KEYS = ("engine",)
-_TELEMETRY_PREFIX = "jit_"
-
-
-def _strip_telemetry(extra: Dict[str, object]) -> Dict[str, object]:
-    return {
-        k: v for k, v in extra.items()
-        if k not in _TELEMETRY_KEYS and not k.startswith(_TELEMETRY_PREFIX)
-    }
-
 
 @dataclass
 class LegOutcome:
@@ -193,7 +173,7 @@ def _solo_leg(plan: KernelPlan, *, engine: Optional[str], parallel: bool,
     return LegOutcome(
         leg=name,
         outputs={k: buffers[k].to_numpy().copy() for k in ARG_NAMES},
-        counters=_strip_telemetry(counters),
+        counters=counters,
         compare_counters=policy is None,
     )
 
@@ -239,7 +219,7 @@ def _batch_leg(plan: KernelPlan, engine: str = "fast") -> LegOutcome:
     except Exception as err:
         return LegOutcome(leg=name, error=(type(err).__name__, str(err)))
     return LegOutcome(leg=name, outputs=first,
-                      counters=_strip_telemetry(counters))
+                      counters=counters)
 
 
 def _leg_name(engine: Optional[str], parallel: bool,
@@ -253,7 +233,7 @@ def _leg_name(engine: Optional[str], parallel: bool,
 def default_legs(smoke: bool = False, executor=None,
                  ) -> List[Tuple[str, Callable[[KernelPlan], LegOutcome]]]:
     """The standard matrix.  ``smoke=True`` trims to the cheap core
-    (three engines, serial) for per-PR CI.  ``executor`` replaces the
+    (both engines, serial) for per-PR CI.  ``executor`` replaces the
     default executor on the serial engine legs — the test suite passes
     its environment-resolved ``executor`` fixture here so the matrix
     also runs under ``REPRO_EXECUTOR=parallel``/``fork:N`` sweeps."""
@@ -264,15 +244,11 @@ def default_legs(smoke: bool = False, executor=None,
                                              executor=executor)),
         ("fast", lambda p: _solo_leg(p, engine="fast", parallel=False,
                                      executor=executor)),
-        ("jit", lambda p: _solo_leg(p, engine="jit", parallel=False,
-                                    executor=executor)),
     ]
     if not smoke:
         legs += [
             ("fast-parallel", lambda p: _solo_leg(p, engine="fast",
                                                   parallel=True)),
-            ("jit-parallel", lambda p: _solo_leg(p, engine="jit",
-                                                 parallel=True)),
             ("schedule", lambda p: _solo_leg(p, engine=None, parallel=False,
                                              schedule_seed=p.seed)),
             ("batch", _batch_leg),

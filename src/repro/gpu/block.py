@@ -56,12 +56,28 @@ workers inherit it.
 ``tests/gpu/test_fastpath_equiv.py`` holds the differential proof
 obligation; ``tests/gpu/test_accounting_oracle.py`` checks the shared
 accounting against an independent per-element model.
+
+Engine selection
+================
+
+:func:`resolve_engine` is the one ladder both launch paths use
+(``Device.launch`` and serve batches): the explicit ``engine=`` name,
+then the ``REPRO_ENGINE`` environment variable, then ``auto``:
+
+========================  ==================================================
+``engine`` / env          Meaning
+========================  ==================================================
+unset / ``auto``          fast engine when hook-free (the default)
+``instrumented``          always the instrumented reference engine
+``fast``                  the fast engine (hooks force instrumented)
+========================  ==================================================
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -90,6 +106,61 @@ from repro.gpu.thread import (
 #: Hard cap on scheduling rounds; hitting it means a runaway kernel.
 DEFAULT_MAX_ROUNDS = 5_000_000
 
+#: Environment variable naming the process-wide round-engine preference.
+ENGINE_ENV = "REPRO_ENGINE"
+
+#: Valid round-engine preference names.
+ENGINES = ("auto", "instrumented", "fast")
+
+
+def coerce_engine(spec) -> str:
+    """Validate an engine preference name; returns the canonical string."""
+    name = str(spec).strip().lower()
+    if name not in ENGINES:
+        raise LaunchError(
+            f"unknown engine {spec!r}: expected one of {', '.join(ENGINES)}"
+        )
+    return name
+
+
+def default_engine() -> str:
+    """The process-wide engine preference (``REPRO_ENGINE``, else ``auto``).
+
+    Re-reads the environment on every call so tests and harnesses can
+    flip the variable between launches, mirroring
+    :func:`repro.exec.default_executor`.
+    """
+    spec = os.environ.get(ENGINE_ENV, "").strip()
+    return coerce_engine(spec) if spec else "auto"
+
+
+def resolve_engine(engine: Optional[str], hook: Optional[str]) -> str:
+    """The round engine a launch runs under: ``"instrumented"`` or ``"fast"``.
+
+    ``engine`` is the caller's explicit preference (None defers to
+    ``REPRO_ENGINE``, then ``auto``); ``hook`` names the attached hook
+    that needs the instrumented engine (``"tracer"``, ``"fault plan"``,
+    ...), or None.  A hook forces the instrumented engine.  An explicit
+    ``"fast"`` together with a hook raises :class:`LaunchError`, while
+    an environment preference downgrades silently so whole suites can be
+    swept under ``REPRO_ENGINE``.  An unknown name raises
+    :class:`LaunchError` naming the valid ones.
+    """
+    if engine is not None:
+        requested = coerce_engine(engine)
+        if requested == "fast" and hook is not None:
+            raise LaunchError(
+                f"engine={requested!r} is incompatible with an attached "
+                f"{hook} hook (hooks need the instrumented engine); "
+                "drop the hook or use engine='auto'"
+            )
+    else:
+        requested = default_engine()
+    if hook is not None or requested == "instrumented":
+        return "instrumented"
+    return "fast"
+
+
 _BY_LANE_ID = operator.attrgetter("lane_id")
 
 
@@ -113,7 +184,6 @@ class ThreadBlock:
         recorder=None,
         faults=None,
         engine: Optional[str] = None,
-        jit_stats=None,
     ) -> None:
         if num_threads < 1:
             raise LaunchError("block must have at least one thread")
@@ -157,62 +227,54 @@ class ThreadBlock:
             max(1, params.l1_size_bytes // params.sector_bytes)
         )
         self._round_mem_stall = False
-        #: Per-launch JIT telemetry (:class:`repro.jit.stats.JitCounters`),
-        #: shared across the launch's blocks; None outside the jit engine.
-        self.jit_stats = jit_stats
-        # Engine selection.  ``engine`` names a round engine preference
-        # ("auto" | "instrumented" | "fast" | "jit"; None means "auto").
-        # Neither the fast engine nor the JIT carries hook points, so any attached
-        # tracer/monitor/policy — or a fault plan naming an in-block site
+        # Engine selection: ``engine`` is a preference ("auto" |
+        # "instrumented" | "fast"; None means "auto").  The fast engine
+        # carries no hook points, so any attached tracer/monitor/policy —
+        # or a fault plan naming an in-block site
         # (``FaultPlan.hooks_blocks``) — forces the instrumented engine
-        # regardless of the caller's preference; the JIT additionally
-        # requires a read-blind recorder (the read-tracking recorder is a
-        # sanitizer hook), downgrading to the fast engine otherwise —
-        # both downgrades are the ``hook`` rung of the deopt ladder
-        # (docs/PERF.md).  ``engine="instrumented"`` forces the reference
-        # engine, which the differential suite uses.
+        # regardless of the preference.  :func:`resolve_engine` applies
+        # the launch-level ladder (and its errors) before blocks exist.
         if engine is None:
             engine = "auto"
-        elif engine not in ("auto", "instrumented", "fast", "jit"):
+        elif engine not in ENGINES:
             raise LaunchError(f"unknown engine {engine!r}")
-        eligible = (
-            self.tracer is None
-            and self.monitor is None
-            and self.schedule_policy is None
-            and (self.faults is None or not self.faults.hooks_blocks)
+        hooked = (
+            self.tracer is not None
+            or self.monitor is not None
+            or self.schedule_policy is not None
+            or (self.faults is not None and self.faults.hooks_blocks)
         )
-        if engine == "jit":
-            if not eligible:
-                if jit_stats is not None:
-                    jit_stats.note_deopt("hook")
-                engine = "instrumented"
-            elif recorder is not None and recorder.track_reads:
-                if jit_stats is not None:
-                    jit_stats.note_deopt("hook")
-                engine = "fast"
-        elif engine == "instrumented":
-            pass
-        elif not eligible:  # "auto" / "fast" with hooks attached
-            engine = "instrumented"
-        elif engine == "auto":
-            engine = "fast"
-        self.engine = engine
+        self.engine = (
+            "instrumented" if hooked or engine == "instrumented" else "fast"
+        )
         ws = params.warp_size
         self.num_warps = -(-num_threads // ws)
-        # The JIT tier re-instantiates the kernel as one vectorized
-        # generator per warp, so the entry/args pair must outlive
-        # construction (the scalar lane generators below stay untouched
-        # until an engine actually steps them).
-        self._entry = entry
-        self._args = tuple(args)
         self.lanes: List[Lane] = []
         self.ctxs: List[ThreadCtx] = []
-        self._warps: List[List[Lane]] = []
-        if engine != "jit":
-            # The JIT traces a vectorized re-instantiation of the kernel;
-            # scalar lane generators are built lazily, only if the block
-            # actually deoptimizes into an interpreter.
-            self._build_lanes()
+        # Lane identity rows, computed once per geometry and shared by
+        # every block of every launch that uses it.
+        for tid, warp_id, lane_id in lane_table(num_threads, ws).rows:
+            tc = ThreadCtx(
+                tid=tid,
+                warp_size=ws,
+                block_id=block_id,
+                num_blocks=num_blocks,
+                block_dim=num_threads,
+                block=self,
+                lane_id=lane_id,
+                warp_id=warp_id,
+            )
+            gen = entry(tc, *args)
+            if not hasattr(gen, "send"):
+                raise LaunchError(
+                    "kernel entry must be a generator function "
+                    f"(got {type(gen).__name__} from {entry!r})"
+                )
+            self.ctxs.append(tc)
+            self.lanes.append(Lane(tid, warp_id, lane_id, gen))
+        self._warps: List[List[Lane]] = [
+            self.lanes[w * ws : (w + 1) * ws] for w in range(self.num_warps)
+        ]
         # -- round state shared by both engines ---------------------------
         # Pre-allocated per-warp event buffers for the fast engine, reused —
         # cleared, never reallocated — every round.  (Side effects apply
@@ -272,49 +334,8 @@ class ThreadBlock:
         ]
 
     # ------------------------------------------------------------------
-    def _build_lanes(self) -> None:
-        """Instantiate the scalar lane generators (one per thread)."""
-        ws = self.params.warp_size
-        entry, args = self._entry, self._args
-        # SoA identity columns, computed once per geometry and shared by
-        # every block of every launch that uses it.
-        for tid, warp_id, lane_id in lane_table(self.num_threads, ws).rows:
-            tc = ThreadCtx(
-                tid=tid,
-                warp_size=ws,
-                block_id=self.block_id,
-                num_blocks=self.num_blocks,
-                block_dim=self.num_threads,
-                block=self,
-                lane_id=lane_id,
-                warp_id=warp_id,
-            )
-            gen = entry(tc, *args)
-            if not hasattr(gen, "send"):
-                raise LaunchError(
-                    "kernel entry must be a generator function "
-                    f"(got {type(gen).__name__} from {entry!r})"
-                )
-            self.ctxs.append(tc)
-            self.lanes.append(Lane(tid, warp_id, lane_id, gen))
-        self._warps[:] = [
-            self.lanes[w * ws : (w + 1) * ws] for w in range(self.num_warps)
-        ]
-
-    # ------------------------------------------------------------------
     def run(self) -> BlockCounters:
         """Execute the block to completion; returns its counters."""
-        if self.engine == "jit":
-            from repro.jit.engine import try_run_jit
-
-            result = try_run_jit(self)
-            if result is not None:
-                return result
-            # Deopt: compilation committed nothing, and the scalar lane
-            # generators — built only now — replay the whole block
-            # bit-identically from round zero.
-            self._build_lanes()
-            return self._run_fast()
         if self.engine == "fast":
             return self._run_fast()
         return self._run_instrumented()
@@ -609,7 +630,7 @@ class ThreadBlock:
                             l.state = WAIT_WARP
                             l.wait_key = swk0
                             # Barrier waiters never carry a posted event
-                            # (deopt-path hygiene: this lane may have come
+                            # (hygiene: this lane may have come
                             # off the inline same-round path mid-round).
                             l.posted = None
                             grp.append(l)

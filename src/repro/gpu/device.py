@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import LaunchError, LaunchTimeout, MemoryFault, SimulationError
-from repro.gpu.block import DEFAULT_MAX_ROUNDS
+from repro.gpu.block import DEFAULT_MAX_ROUNDS, resolve_engine
 from repro.gpu.costmodel import CostParams, nvidia_a100
 from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import Buffer, GlobalMemory
@@ -189,23 +189,18 @@ class Device:
           retry it upgrades.
 
         ``engine`` selects the block round engine (``docs/PERF.md``):
-        ``"auto"`` picks the fast interpreter whenever the launch is
+        ``"auto"`` picks the fast engine whenever the launch is
         hook-free; ``"instrumented"`` forces the reference engine;
-        ``"fast"`` the fast interpreter; ``"jit"`` trace-compiles stable
-        warps into batched NumPy scripts and deoptimizes to the fast
-        interpreter per block otherwise.  Results are bit-identical
-        across all engines.  Passing ``engine="fast"``/``"jit"``
-        together with a hook (``tracer``/``sanitize``/``detect_races``/
-        ``schedule_policy``/a fault plan naming an in-block site —
-        ``FaultPlan.hooks_blocks``) raises
-        :class:`~repro.errors.LaunchError`, since hooks require the
-        instrumented engine.  When ``engine`` is omitted the
-        ``REPRO_ENGINE`` environment variable applies (it downgrades
-        silently under hooks so whole suites can be swept), then
-        ``"auto"``.
-        JIT launches report the chosen engine and per-launch compile/
-        deopt telemetry in ``kc.extra`` (``engine``,
-        ``jit_warps_compiled``, ``jit_deopt_<reason>``).
+        ``"fast"`` the fast engine.  Results are bit-identical across
+        both engines.  Passing ``engine="fast"`` together with a hook
+        (``tracer``/``sanitize``/``detect_races``/``schedule_policy``/a
+        fault plan naming an in-block site — ``FaultPlan.hooks_blocks``)
+        raises :class:`~repro.errors.LaunchError`, since hooks require
+        the instrumented engine; so does an unknown engine name.  When
+        ``engine`` is omitted the ``REPRO_ENGINE`` environment variable
+        applies (it downgrades silently under hooks so whole suites can
+        be swept), then ``"auto"``
+        (:func:`repro.gpu.block.resolve_engine`).
         """
         with self.lock:
             if num_blocks < 1:
@@ -261,10 +256,8 @@ class Device:
 
                 faults_ = default_faults()
 
-            # Round-engine preference: explicit ``engine=`` kwarg, then
-            # REPRO_ENGINE, then ``auto``.
-            from repro.jit import JitCounters, coerce_engine, default_engine
-
+            # Round engine: explicit ``engine=`` kwarg, then REPRO_ENGINE,
+            # then ``auto``; any hook forces the instrumented engine.
             hook = None
             if tracer is not None:
                 hook = "tracer"
@@ -276,31 +269,7 @@ class Device:
                 hook = "schedule_policy"
             elif faults_ is not None and faults_.hooks_blocks:
                 hook = "fault plan"
-            if engine is not None:
-                try:
-                    requested = coerce_engine(engine)
-                except ValueError as err:
-                    raise LaunchError(str(err)) from None
-                if requested in ("fast", "jit") and hook is not None:
-                    raise LaunchError(
-                        f"engine={requested!r} is incompatible with an attached "
-                        f"{hook} hook (hooks need the instrumented engine); "
-                        "drop the hook or use engine='auto'"
-                    )
-            else:
-                # Environment-sourced preferences downgrade silently so whole
-                # test suites can be swept under e.g. REPRO_ENGINE=jit.
-                try:
-                    requested = default_engine()
-                except ValueError as err:
-                    raise LaunchError(str(err)) from None
-            if hook is not None:
-                resolved = "instrumented"
-            elif requested == "auto":
-                resolved = "fast"
-            else:
-                resolved = requested
-            jit_stats = JitCounters() if resolved == "jit" else None
+            resolved = resolve_engine(engine, hook)
 
             user_side = tuple(side_state)
             plan_side = user_side
@@ -308,10 +277,6 @@ class Device:
                 # Ride the fault counters on the side-state merge so bumps made
                 # inside forked workers travel back to the coordinator.
                 plan_side = user_side + (faults_.counters,)
-            if jit_stats is not None:
-                # Same trick for JIT telemetry: per-block compile/deopt counts
-                # bumped inside forked workers merge back deterministically.
-                plan_side = plan_side + (jit_stats,)
             plan = LaunchPlan(
                 entry=entry,
                 args=tuple(args),
@@ -327,7 +292,6 @@ class Device:
                 side_state=plan_side,
                 faults=faults_,
                 engine=resolved,
-                jit_stats=jit_stats,
             )
 
             if checkpoint is None and resume:
@@ -418,13 +382,6 @@ class Device:
                     session.add(outcome.report)
             if outcome.cross_block_conflicts:
                 kc.extra["cross_block_conflicts"] = float(outcome.cross_block_conflicts)
-            if jit_stats is not None:
-                # JIT launches only: hook-free launches without an engine
-                # preference carry no extra keys, so their counters stay
-                # bit-identical to every pre-JIT baseline.
-                kc.extra["engine"] = "jit"
-                for key, value in jit_stats.extra_items():
-                    kc.extra[key] = value
             if outcome.recovery:
                 for key, val in sorted(outcome.recovery.items()):
                     if val:

@@ -188,27 +188,7 @@ class Buffer:
         """Byte address of element ``idx`` within this buffer's space."""
         return self.base + int(idx) * self.itemsize
 
-    # -- bulk access (JIT tier / vectorized engines) -----------------------
-    def _check_slice(self, idxs: slice) -> Tuple[int, int]:
-        """Validate a unit-stride ascending slice; returns ``(start, stop)``.
-
-        The faulting index matches what an elementwise ascending walk
-        would hit first, so the raised :class:`MemoryFault` is identical
-        to the scalar engines' per-element ``check_index`` fault.
-        """
-        if idxs.step not in (None, 1):
-            raise ValueError("bulk slices must be unit-stride ascending")
-        start = 0 if idxs.start is None else int(idxs.start)
-        stop = self.size if idxs.stop is None else int(idxs.stop)
-        if stop > start:
-            if start < 0 or start >= self.size:
-                self.check_index(start)
-            if stop > self.size:
-                # Ascending from an in-bounds start, the first bad element
-                # is exactly ``size``.
-                return start, self.size
-        return start, stop
-
+    # -- bulk access (parallel merge) ----------------------------------------
     @staticmethod
     def _as_index_array(idxs) -> np.ndarray:
         idx = np.asarray(idxs)
@@ -219,19 +199,13 @@ class Buffer:
         return idx
 
     def gather(self, idxs) -> np.ndarray:
-        """Bulk read: ``idxs`` is a unit-stride slice or an integer array.
+        """Bulk read of an integer index array.
 
         Returns a fresh array (never a view).  Out-of-bounds access raises
         the canonical :class:`MemoryFault` for the first bad index in
         ascending position order — bit-identical to an elementwise
         ``read`` walk.
         """
-        if type(idxs) is slice:
-            start, stop = self._check_slice(idxs)
-            out = self.data[start:stop].copy()
-            if stop - start < _slice_len(idxs, self.size):
-                self.check_index(self.size)
-            return out
         idx = self._as_index_array(idxs)
         if idx.size:
             valid = (idx >= 0) & (idx < self.size)
@@ -240,23 +214,14 @@ class Buffer:
         return self.data[idx]
 
     def scatter(self, idxs, values) -> None:
-        """Bulk write with prefix-commit-then-fault semantics.
+        """Bulk write to an integer index array, with
+        prefix-commit-then-fault semantics.
 
         Elements strictly before the first out-of-bounds position commit
         (in ascending position order, duplicates last-wins), then the
         canonical :class:`MemoryFault` is raised — matching an
         elementwise ``write`` walk exactly.
         """
-        if type(idxs) is slice:
-            start, stop = self._check_slice(idxs)
-            want = _slice_len(idxs, self.size)
-            if stop - start < want:
-                self.data[start:stop] = _value_prefix(values, stop - start)
-                self.mark_dirty_span(start, stop)
-                self.check_index(self.size)
-            self.data[start:stop] = values
-            self.mark_dirty_span(start, stop)
-            return
         idx = self._as_index_array(idxs)
         if idx.size:
             valid = (idx >= 0) & (idx < self.size)
@@ -319,13 +284,8 @@ class Buffer:
                 dirty[page] = 1
 
     def mark_dirty_sel(self, sel) -> None:
-        """Mark pages for any store selector: int, slice, or index array."""
-        if type(sel) is slice:
-            start = 0 if sel.start is None else int(sel.start)
-            stop = self.size if sel.stop is None else min(int(sel.stop),
-                                                          self.size)
-            self.mark_dirty_span(start, stop)
-        elif isinstance(sel, (int, np.integer)):
+        """Mark pages for a store selector: an int or an index array."""
+        if isinstance(sel, (int, np.integer)):
             self.dirty[int(sel) >> PAGE_SHIFT] = 1
         else:
             self.mark_dirty_indices(sel)
@@ -352,13 +312,6 @@ class Buffer:
             f"Buffer({self.name!r}, {self.space}, size={self.size}, "
             f"dtype={self.dtype}, base={self.base:#x}, handle={self.handle})"
         )
-
-
-def _slice_len(idxs: slice, size: int) -> int:
-    """Requested element count of a validated unit-stride slice."""
-    start = 0 if idxs.start is None else int(idxs.start)
-    stop = size if idxs.stop is None else int(idxs.stop)
-    return max(0, stop - start)
 
 
 def _value_prefix(values, n: int):

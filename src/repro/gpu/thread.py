@@ -57,36 +57,25 @@ def full_mask(warp_size: int) -> int:
 
 
 class LaneTable:
-    """Structure-of-arrays lane identity for one block geometry.
+    """Lane identity rows for one block geometry.
 
     The per-lane identity triple ``(tid, warp_id, lane_id)`` is a pure
     function of ``(num_threads, warp_size)``, yet block construction
     used to recompute it with per-lane Python modular arithmetic for
     every block of every launch — a visible cost for the serve tier's
-    many small launches.  The table computes the columns once with
-    NumPy, materializes them as plain-int rows for the scalar engines,
-    and is memoized per geometry via :func:`lane_table`.
-
-    The int32 columns are kept as arrays too, so vectorized consumers
-    (the JIT tracer's affine lane vectors, diagnostics) can slice a
-    warp's identity without boxing.
+    many small launches.  The table computes the rows once, as plain
+    ints, and is memoized per geometry via
+    :func:`lane_table`.
     """
 
-    __slots__ = ("num_threads", "warp_size", "tid", "warp_id", "lane_id",
-                 "rows")
+    __slots__ = ("num_threads", "warp_size", "rows")
 
     def __init__(self, num_threads: int, warp_size: int) -> None:
-        import numpy as np
-
         self.num_threads = int(num_threads)
         self.warp_size = int(warp_size)
-        tids = np.arange(self.num_threads, dtype=np.int32)
-        self.tid = tids
-        self.warp_id = tids // self.warp_size
-        self.lane_id = tids - self.warp_id * self.warp_size
         #: ``(tid, warp_id, lane_id)`` Python-int rows in tid order.
-        self.rows = list(zip(tids.tolist(), self.warp_id.tolist(),
-                             self.lane_id.tolist()))
+        self.rows = [(tid, tid // self.warp_size, tid % self.warp_size)
+                     for tid in range(self.num_threads)]
 
 
 _LANE_TABLES: dict = {}

@@ -47,7 +47,6 @@ from repro.sanitizer.schedule import (
     explore_schedules_dpor,
     replay_directed,
     replay_schedule,
-    strip_launch_telemetry,
 )
 
 __all__ = [
@@ -71,7 +70,6 @@ __all__ = [
     "replay_directed",
     "replay_schedule",
     "session",
-    "strip_launch_telemetry",
 ]
 
 

@@ -1,12 +1,10 @@
 """Vector-clock happens-before data-race detection (FastTrack-style).
 
-The detector replaces the old round-local check in
-``ThreadBlock._check_races``, which compared only accesses posted in the
-*same* scheduling round: two conflicting accesses in different rounds
-with no intervening barrier were never compared, so e.g. a store in
-round 0 of warp 0 racing a store in round 3 of warp 1 went unreported.
-Here every access is checked against per-element shadow state under the
-full happens-before order, so cross-round races are caught.
+Every access is checked against per-element shadow state under the full
+happens-before order below, not only against the accesses posted in the
+same scheduling round.  Cross-round conflicts are therefore checked too:
+a store in round 0 of warp 0 and a store to the same element in round 3
+of warp 1, with no intervening barrier, are reported as a race.
 
 Happens-before model
 ====================

@@ -29,12 +29,6 @@ explorers expose them:
 Every schedule — sampled, directed, or bounded-preemption — is
 replayable from its integer seed or directive tuple alone
 (:func:`replay_schedule`, :func:`replay_directed`).
-
-Output diffing knows one documented carve-out: launch-scoped JIT
-telemetry (``extra["engine"]``, ``extra["jit_*"]``) is excluded from
-divergence comparison, matching the serve tier's batch-equivalence
-contract — a policy-carrying run is a hooked launch and never compiles,
-while its baseline may.
 """
 
 from __future__ import annotations
@@ -238,30 +232,12 @@ class ExplorationResult:
         return "\n".join(lines)
 
 
-#: ``kc.extra`` keys excluded from divergence comparison: launch-scoped
-#: JIT telemetry cannot be attributed across engine downgrades (a run
-#: carrying a schedule policy is a hooked launch and never compiles,
-#: while its hook-free baseline may) — the same carve-out the serve
-#: tier's batch-equivalence tests document for batched counters.
-_TELEMETRY_KEYS = ("engine",)
-_TELEMETRY_PREFIX = "jit_"
-
-
-def strip_launch_telemetry(extra: Dict) -> Dict:
-    """Drop launch-scoped JIT telemetry keys from a counters ``extra`` dict."""
-    return {
-        k: v
-        for k, v in extra.items()
-        if k not in _TELEMETRY_KEYS and not str(k).startswith(_TELEMETRY_PREFIX)
-    }
-
-
 def _diff_one(seed, name: str, base, got) -> Optional[OutputDiff]:
-    """Diff one named output; dicts diff key-wise under the telemetry
-    carve-out, everything else compares as arrays, bit-for-bit."""
+    """Diff one named output; dicts diff key-wise over every key,
+    everything else compares as arrays, bit-for-bit."""
     if isinstance(base, dict) or isinstance(got, dict):
-        base_d = strip_launch_telemetry(dict(base or {}))
-        got_d = strip_launch_telemetry(dict(got or {}))
+        base_d = dict(base or {})
+        got_d = dict(got or {})
         bad = [k for k in set(base_d) | set(got_d)
                if not np.array_equal(base_d.get(k), got_d.get(k))]
         if not bad:
@@ -309,8 +285,7 @@ def explore_schedules(
     ``run(policy)`` must build a *fresh* device + buffers, launch with
     ``schedule_policy=policy`` (None = default order), and return a dict
     of named output arrays (entries that are plain dicts — e.g.
-    ``kc.extra`` — diff key-wise, under the launch-scoped JIT telemetry
-    carve-out).  Each divergence is reported with the seed that
+    ``kc.extra`` — diff key-wise over every key).  Each divergence is reported with the seed that
     reproduces it deterministically via :func:`replay_schedule`.
 
     ``workers`` > 1 fans the seeds out over forked worker processes
@@ -610,9 +585,8 @@ def _outcome_signature(status: str, payload) -> tuple:
     for name in sorted(payload):
         value = payload[name]
         if isinstance(value, dict):
-            stripped = strip_launch_telemetry(value)
             parts.append((name, tuple(sorted(
-                (k, repr(v)) for k, v in stripped.items()))))
+                (k, repr(v)) for k, v in value.items()))))
         else:
             arr = np.asarray(value)
             parts.append((name, hashlib.sha1(

@@ -38,6 +38,7 @@ import signal
 import sys
 
 from repro.faults import coerce_faults
+from repro.gpu.block import ENGINES
 from repro.gpu.device import Device
 from repro.serve.demo import demo_catalog
 from repro.serve.lease import PoolLease
@@ -153,8 +154,9 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, default=8473)
     parser.add_argument("--pool", type=int, default=0, metavar="N",
                         help="attach a warm worker pool with N forked workers")
-    parser.add_argument("--engine", default=None,
-                        help="round engine for batches (fast/jit/instrumented)")
+    parser.add_argument("--engine", default=None, choices=ENGINES,
+                        help="round engine for batches (default: "
+                             "REPRO_ENGINE, then auto)")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="fault plan, REPRO_FAULTS grammar "
                              "(e.g. 42:worker.crash=0.3)")

@@ -5,10 +5,10 @@ deterministically in ascending block id; batching rides that machinery
 by concatenating compatible requests into one
 :class:`~repro.exec.GridSegment`-typed plan.  Each request's blocks
 execute with **local** coordinates (block 0..n-1 of its own grid) so
-every lane — and the JIT's trace-cache key — observes exactly what a
-solo launch would have shown it; only the merge order uses global ids.
-The result is bit-identical to running the requests one at a time
-(tested by the hypothesis property in ``tests/serve``).
+every lane observes exactly what a solo launch would have shown it;
+only the merge order uses global ids.  The result is bit-identical to
+running the requests one at a time (tested by the hypothesis property
+in ``tests/serve``).
 
 Eligibility (:func:`compatible`): same ``threads_per_block``, hook-free
 (no tracer/sanitizer/races/schedule-policy — enforced by
@@ -18,10 +18,8 @@ disjoint global buffers — guaranteed here by construction, because
 arrays.  Per-request telemetry demuxes from the per-segment outcome:
 block counters, shared high-water mark, runtime-counter deltas, and the
 cost model's cycle composition are all computed per segment, exactly as
-``Device.launch`` composes them for a solo grid.  Launch-scoped JIT
-telemetry (``kc.extra["jit_*"]``) is the one deliberate exception: it
-cannot be attributed to a single request inside a batch, so batched
-counters omit it (documented in ``docs/SERVE.md``).
+``Device.launch`` composes them for a solo grid, so every batched
+counter — ``extra`` included — equals the solo launch's.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import numpy as np
 from repro.errors import LaunchError
 from repro.exec import GridSegment, LaunchPlan, SerialExecutor, merge_records
 from repro.exec.record import ErrorCapsule
+from repro.gpu.block import resolve_engine
 from repro.gpu.counters import KernelCounters
 from repro.gpu.sm import compose_kernel_cycles
 from repro.runtime.icv import DEFAULT_SHARING_BYTES
@@ -230,29 +229,16 @@ def compatible(a: PreparedLaunch, b: PreparedLaunch) -> bool:
 
 
 def resolve_batch_engine(engine: Optional[str], faults) -> str:
-    """The round engine a batch runs under — ``Device.launch``'s ladder
-    minus the per-launch hooks batches reject anyway.
+    """The round engine a batch runs under: :func:`resolve_engine` with
+    the one hook batches admit.
 
     A fault plan naming an in-block site (``FaultPlan.hooks_blocks``)
-    forces the instrumented engine (those sites live in the instrumented
-    block scheduler), exactly as it does for solo launches; otherwise the
-    explicit choice, then ``REPRO_ENGINE``, then auto → fast.
+    forces the instrumented engine, exactly as it does for solo
+    launches; otherwise the explicit choice, then ``REPRO_ENGINE``,
+    then auto → fast.
     """
-    from repro.jit import coerce_engine, default_engine
-
     hooked = faults is not None and faults.hooks_blocks
-    if engine is not None:
-        resolved = coerce_engine(engine)
-        if resolved in ("fast", "jit") and hooked:
-            raise LaunchError(
-                f"engine={resolved!r} is incompatible with an attached "
-                "fault plan (fault sites need the instrumented engine)"
-            )
-    else:
-        resolved = default_engine()
-    if hooked:
-        return "instrumented"
-    return "fast" if resolved == "auto" else resolved
+    return resolve_engine(engine, "fault plan" if hooked else None)
 
 
 def run_batch(
@@ -293,12 +279,6 @@ def run_batch(
             )
     resolved = resolve_batch_engine(engine, faults)
 
-    jit_stats = None
-    if resolved == "jit":
-        from repro.jit import JitCounters
-
-        jit_stats = JitCounters()
-
     segments = tuple(
         GridSegment(p.entry, p.num_blocks, label=p.name) for p in prepared
     )
@@ -315,7 +295,6 @@ def run_batch(
         ),
         faults=None if use_lease else faults,
         engine=resolved,
-        jit_stats=jit_stats,
         deadline=(time.monotonic() + timeout) if timeout is not None else None,
     )
     exec_ = executor if executor is not None else SerialExecutor()

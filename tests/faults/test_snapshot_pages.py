@@ -27,7 +27,7 @@ class TestRestore:
         before = buf.to_numpy()
         snap = MemorySnapshot(gmem)
         buf.write(3, -1.0)
-        buf.scatter(slice(PAGE_ELEMS, PAGE_ELEMS + 4), np.full(4, -2.0))
+        buf.scatter(np.arange(PAGE_ELEMS, PAGE_ELEMS + 4), np.full(4, -2.0))
         snap.restore()
         np.testing.assert_array_equal(buf.to_numpy(), before)
 

@@ -31,7 +31,7 @@ class TestRunProgram:
         result = run_program(plan, legs=default_legs(smoke=True,
                                                      executor=executor))
         assert result.ok, [m.describe() for m in result.mismatches]
-        assert len(result.legs) == 3
+        assert len(result.legs) == 2
         assert all(leg.ok for leg in result.legs)
 
     def test_clean_plan_passes_full_matrix(self):
@@ -50,7 +50,7 @@ class TestRunProgram:
         # cross-engine mismatch — the oracle is what catches the bug).
         oracle_flagged = {m.leg for m in result.mismatches
                           if m.against == "oracle"}
-        assert oracle_flagged == {"instrumented", "fast", "jit"}
+        assert oracle_flagged == {"instrumented", "fast"}
         assert all(m.what == "output:out" for m in result.mismatches), \
             [m.describe() for m in result.mismatches]
 
@@ -67,12 +67,6 @@ class TestRunProgram:
         assert not outcome.compare_counters
         engine_leg = run_leg(plan, "instrumented")
         assert engine_leg.compare_counters
-
-    def test_counters_never_carry_jit_telemetry(self):
-        outcome = run_leg(plan_from_seed(2023), "jit")
-        assert outcome.ok
-        assert "engine" not in outcome.counters
-        assert not any(k.startswith("jit_") for k in outcome.counters)
 
     def test_error_legs_must_agree(self):
         bad = LegOutcome(leg="weird", error=("BoomError", "synthetic"))

@@ -403,7 +403,7 @@ class TestRetiredLaneState:
         assert all(l.pending is None for l in tb.lanes)
         assert all(l.posted is None for l in tb.lanes)
 
-    @pytest.mark.parametrize("engine", ["instrumented", "fast", "jit"])
+    @pytest.mark.parametrize("engine", ["instrumented", "fast"])
     def test_posted_cleared_at_barrier_parks(self, engine):
         """A lane migrating from a shuffle to a barrier park must not drag
         its posted event along.
@@ -413,9 +413,7 @@ class TestRetiredLaneState:
         whose shuffle resolved inline mid-round can retire still pinning
         the stale event (and its payload).  The skewed arrivals below
         drive lanes through every park site: inline same-round groups,
-        second-key same-round parks, and partial-arrival parks.  Under
-        ``engine="jit"`` the shuffle forces a deopt, so the same property
-        holds on the deopt replay path.
+        second-key same-round parks, and partial-arrival parks.
         """
         from repro.gpu.thread import DONE
 

@@ -1,19 +1,13 @@
-"""Differential suite: the three round engines, bit for bit.
+"""Differential suite: the two round engines, bit for bit.
 
-The fast interpreter and the trace-compiling JIT (``docs/PERF.md``) are
-only legal because they are *observationally identical* to the
-instrumented engine: same memory state, same
-:class:`~repro.gpu.counters.KernelCounters`, same errors with the same
-messages.  This suite proves that claim by running the same kernels
-under every engine — randomized programs mixing every event type plus
-directed kernels targeting each engine's seams (partial same-round
-arrivals, sub-mask groups, counted barriers, faulting accesses, and
-every JIT deoptimization reason) — and comparing everything.
-
-JIT launches additionally report ``engine``/``jit_*`` telemetry keys in
-``kc.extra``; :func:`_strip_jit_extras` removes exactly those before the
-``identical()`` oracle runs, so the comparison still covers every
-architectural counter.
+The fast engine (``docs/PERF.md``) is only legal because it is
+*observationally identical* to the instrumented engine: same memory
+state, same :class:`~repro.gpu.counters.KernelCounters` (every ``extra``
+key included), same errors with the same messages.  This suite proves
+that claim by running the same kernels under both engines — randomized
+programs mixing every event type plus directed kernels targeting the
+fast engine's seams (partial same-round arrivals, sub-mask groups,
+counted barriers, faulting accesses) — and comparing everything.
 
 Runs under every executor in the CI matrix via the ``executor`` fixture,
 so the parallel block-sharding engine's worker processes (which inherit
@@ -31,15 +25,7 @@ from repro.errors import DeadlockError, LaunchError, MemoryFault
 from repro.gpu.costmodel import amd_mi100, nvidia_a100
 from repro.gpu.device import Device
 
-ENGINES = ["fast", "jit"]  # each diffed against the instrumented baseline
-
-
-def _strip_jit_extras(kc):
-    """Drop the JIT telemetry keys (and only those) from ``kc.extra``."""
-    kc.extra.pop("engine", None)
-    for key in [k for k in kc.extra if k.startswith("jit_")]:
-        del kc.extra[key]
-    return kc
+ENGINES = ["fast"]  # each diffed against the instrumented baseline
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +247,8 @@ def _op_shared_tile(rng):
 
 
 def _op_coalesced_stream(rng):
-    """A straight-line vectorizable stretch — the shape the JIT compiles.
-    Mixed into the soup it exercises the boundary where a trace stays
-    stable for a while before another op forces a deopt."""
+    """A straight-line convergent load/compute/store stretch, mixed into
+    the soup between collectives and divergent ops."""
     scale = rng.choice([0.5, 2.0, 4.0])
 
     def op(tc, b, total):
@@ -335,7 +320,7 @@ def test_random_kernels_bit_identical(executor, seed, engine):
     """Random event soup: memory, counters, and atomics match bit-for-bit."""
     ke, xe, we, ae = _run_random_kernel(seed, executor, nvidia_a100(), engine)
     ki, xi, wi, ai = _run_random_kernel(seed, executor, nvidia_a100(), "instrumented")
-    assert _strip_jit_extras(ke).identical(ki), f"seed {seed}: counters diverged"
+    assert ke.identical(ki), f"seed {seed}: counters diverged"
     assert np.array_equal(xe, xi)
     assert np.array_equal(we, wi)
     assert np.array_equal(ae, ai)
@@ -347,192 +332,72 @@ def test_random_kernels_bit_identical_amd(executor, seed, engine):
     """Same differential property on 64-wide wavefronts."""
     ke, xe, we, ae = _run_random_kernel(seed, executor, amd_mi100(), engine)
     ki, xi, wi, ai = _run_random_kernel(seed, executor, amd_mi100(), "instrumented")
-    assert _strip_jit_extras(ke).identical(ki), f"seed {seed}: counters diverged"
+    assert ke.identical(ki), f"seed {seed}: counters diverged"
     assert np.array_equal(we, wi)
     assert np.array_equal(ae, ai)
-
-
-# ---------------------------------------------------------------------------
-# Directed JIT compilation and deoptimization coverage
-
-
-def _run_streaming(executor, engine, threads=64):
-    dev = Device(nvidia_a100(), executor=executor)
-    n = 4 * threads
-    x = dev.from_array("x", np.arange(n, dtype=np.float32))
-    y = dev.alloc("y", n, np.float32)
-
-    def k(tc, x, y, n):
-        i = tc.global_tid
-        stride = tc.num_blocks * tc.block_dim
-        while i < n:
-            v = yield from tc.load(x, i)
-            yield from tc.compute("fma", 1)
-            yield from tc.store(y, i, v * 2.0 + 1.0)
-            i += stride
-
-    kc = dev.launch(k, 2, threads, args=(x, y, n), engine=engine)
-    return kc, y.to_numpy()
-
-
-def test_jit_compiles_streaming_kernel(executor):
-    """A convergent grid-stride stream compiles: every warp goes scripted,
-    the launch reports it, and the results stay bit-identical."""
-    kj, yj = _run_streaming(executor, "jit")
-    ki, yi = _run_streaming(executor, "instrumented")
-    assert kj.extra["engine"] == "jit"
-    assert kj.extra["jit_warps_compiled"] == 4.0  # 2 blocks x 2 warps
-    assert np.array_equal(yj, yi)
-    assert _strip_jit_extras(kj).identical(ki)
-
-
-def test_non_jit_launch_has_no_jit_extras(executor):
-    """Counters from instrumented/fast launches carry no engine telemetry —
-    they stay bit-identical to pre-JIT baselines."""
-    for engine in ("instrumented", "fast"):
-        kc, _ = _run_streaming(executor, engine)
-        assert "engine" not in kc.extra
-        assert not any(key.startswith("jit_") for key in kc.extra)
-
-
-# Each deopt reason gets its own kernel *function* below: the trace-verdict
-# cache keys on the entry's code object, so sharing one closure across
-# reasons would replay the first-seen verdict instead of exercising each
-# guard.
-
-
-def _deopt_divergence(dev):
-    x = dev.from_array("x", np.arange(128, dtype=np.float64))
-    w = dev.alloc("w", 128, np.float64)
-
-    def k(tc, x, w):
-        if tc.lane_id % 2 == 0:  # data-dependent branch: non-uniform
-            yield from tc.compute("alu")
-        else:
-            yield from tc.compute("fma")
-        v = yield from tc.load(x, tc.global_tid)
-        yield from tc.store(w, tc.global_tid, v + 1.0)
-
-    return k, (x, w), [w]
-
-
-def _deopt_event(dev):
-    x = dev.from_array("x", np.arange(128, dtype=np.float64))
-    w = dev.alloc("w", 128, np.float64)
-    acc = dev.alloc("acc", 4, np.int64)
-
-    def k(tc, x, w, acc):
-        old = yield from tc.atomic_add(acc, 0, 1)  # unsupported event kind
-        yield from tc.store(w, tc.global_tid, float(old % 7))
-
-    return k, (x, w, acc), [w, acc]
-
-
-def _deopt_alloc(dev):
-    w = dev.alloc("w", 128, np.float64)
-
-    def k(tc, w):
-        tmp = tc.alloca("tmp", 2, np.float64)  # dynamic allocation
-        yield from tc.store(tmp, 0, tc.tid * 1.0)
-        v = yield from tc.load(tmp, 0)
-        yield from tc.store(w, tc.global_tid, v * 2.0)
-
-    return k, (w,), [w]
-
-
-def _deopt_dependence(dev):
-    w = dev.alloc("w", 128, np.float64)
-
-    def k(tc, w):
-        yield from tc.store(w, tc.global_tid, 2.0)
-        v = yield from tc.load(w, tc.global_tid)  # reads own earlier store
-        yield from tc.store(w, tc.global_tid + 64, v + 1.0)
-
-    return k, (w,), [w]
-
-
-def _deopt_isolation(dev):
-    x = dev.from_array("x", np.arange(128, dtype=np.float64))
-
-    def k(tc, x):
-        # Warp 0 reads the cells warp 1 stores (all loads land a round
-        # before any store, so the interpreters see pre-launch values —
-        # but the dry-run cannot prove that and must refuse).
-        v = yield from tc.load(x, (tc.global_tid + tc.warp_size) % 128)
-        yield from tc.store(x, tc.global_tid, v + 1.0)
-
-    return k, (x,), [x]
-
-
-_DEOPT_CASES = {
-    "divergence": _deopt_divergence,
-    "event": _deopt_event,
-    "alloc": _deopt_alloc,
-    "dependence": _deopt_dependence,
-    "isolation": _deopt_isolation,
-}
-
-
-@pytest.mark.parametrize("reason", sorted(_DEOPT_CASES))
-def test_jit_deopt_bit_identical(executor, reason):
-    """Each guard fires, is reported, and the fallback stays bit-identical."""
-    build = _DEOPT_CASES[reason]
-
-    def run(engine):
-        dev = Device(nvidia_a100(), executor=executor)
-        k, args, bufs = build(dev)
-        kc = dev.launch(k, 1, 64, args=args, engine=engine)
-        return kc, [b.to_numpy().copy() for b in bufs]
-
-    kj, mj = run("jit")
-    ki, mi = run("instrumented")
-    assert kj.extra["engine"] == "jit"
-    assert kj.extra.get(f"jit_deopt_{reason}", 0) >= 1, (
-        f"expected a {reason} deopt, extras: {kj.extra}"
-    )
-    assert kj.extra.get("jit_warps_compiled", 0) == 0
-    for a, b in zip(mj, mi):
-        assert np.array_equal(a, b)
-    assert _strip_jit_extras(kj).identical(ki)
 
 
 # ---------------------------------------------------------------------------
 # Engine selection and validation
 
 
-def test_engine_rejects_unknown_name(executor):
+# The retired trace-compiling tier's name fails as loudly as a typo.
+@pytest.mark.parametrize("name", ["turbo", "jit"])
+def test_engine_rejects_unknown_name(executor, name):
     dev = Device(nvidia_a100(), executor=executor)
 
     def k(tc):
         yield from tc.compute("alu")
 
     with pytest.raises(LaunchError, match="engine"):
-        dev.launch(k, 1, 32, engine="turbo")
+        dev.launch(k, 1, 32, engine=name)
 
 
-def test_explicit_jit_with_hook_is_an_error(executor):
+def _alu_kernel(tc):
+    yield from tc.compute("alu")
+
+
+def test_env_engine_rejects_unknown_name(executor, monkeypatch):
+    """A stale ``REPRO_ENGINE=jit`` raises, naming the valid engines."""
+    monkeypatch.setenv("REPRO_ENGINE", "jit")
     dev = Device(nvidia_a100(), executor=executor)
+    with pytest.raises(LaunchError, match="auto, instrumented, fast"):
+        dev.launch(_alu_kernel, 1, 32)
 
-    def k(tc):
-        yield from tc.compute("alu")
 
+def test_env_engine_rejects_unknown_name_for_batches(monkeypatch):
+    from repro.serve.batch import resolve_batch_engine
+
+    monkeypatch.setenv("REPRO_ENGINE", "jit")
+    with pytest.raises(LaunchError, match="auto, instrumented, fast"):
+        resolve_batch_engine(None, None)
+
+
+def test_serve_cli_rejects_unknown_engine(capsys):
+    from repro.serve.__main__ import main
+
+    with pytest.raises(SystemExit):
+        main(["--engine", "jit"])
+    assert "invalid choice: 'jit'" in capsys.readouterr().err
+
+
+def test_explicit_fast_with_hook_is_an_error(executor):
+    dev = Device(nvidia_a100(), executor=executor)
     with pytest.raises(LaunchError, match="incompatible"):
-        dev.launch(k, 1, 32, detect_races=True, engine="jit")
+        dev.launch(_alu_kernel, 1, 32, detect_races=True, engine="fast")
 
 
 def test_env_engine_downgrades_silently_under_hook(executor, monkeypatch):
-    """A REPRO_ENGINE=jit sweep must not break hook-carrying launches: the
-    preference downgrades to instrumented and reports no jit telemetry."""
-    monkeypatch.setenv("REPRO_ENGINE", "jit")
+    """A REPRO_ENGINE=fast sweep must not break hook-carrying launches:
+    the preference downgrades to instrumented without an error."""
+    monkeypatch.setenv("REPRO_ENGINE", "fast")
     dev = Device(nvidia_a100(), executor=executor)
     w = dev.alloc("w", 32, np.float64)
 
     def k(tc, w):
         yield from tc.store(w, tc.tid, 1.0)
 
-    kc = dev.launch(k, 1, 32, args=(w,), detect_races=True)
-    assert "engine" not in kc.extra
-    assert not any(key.startswith("jit_") for key in kc.extra)
+    dev.launch(k, 1, 32, args=(w,), detect_races=True)
     assert np.all(w.to_numpy() == 1.0)
 
 
@@ -579,19 +444,18 @@ def _oob_vec_load(dev):
     x = dev.from_array("x", np.zeros(8))
 
     def k(tc, x):
-        # Convergent: under the JIT this faults *inside* the compiled
-        # script (an 'F' step), not via deopt.
+        # Convergent: every lane's second element faults in one group.
         yield from tc.load_vec(x, [tc.tid % 8, 8 + tc.tid])
 
     return k, 1, 32, (x,), [x]
 
 
-def _oob_jit_store(dev):
+def _oob_convergent_store(dev):
     x = dev.from_array("x", np.arange(48, dtype=np.float64))
 
     def k(tc, x):
-        # Convergent second store walks off the end: the JIT must commit
-        # the exact lane-major prefix before raising.
+        # Convergent second store walks off the end: the engines must
+        # commit the exact lane-major prefix before raising.
         yield from tc.store(x, tc.tid, -1.0)
         yield from tc.store(x, tc.tid + 32, -2.0)
 
@@ -600,7 +464,7 @@ def _oob_jit_store(dev):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize(
-    "build", [_oob_load, _oob_store, _oob_vec_load, _oob_jit_store]
+    "build", [_oob_load, _oob_store, _oob_vec_load, _oob_convergent_store]
 )
 def test_memory_fault_identical(executor, build, engine):
     """Faults carry the same type/message and leave identical memory."""

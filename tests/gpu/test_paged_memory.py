@@ -52,9 +52,9 @@ class TestDirtyBitmap:
         buf.write(PAGE_ELEMS + 3, 1.0)
         assert dirty_set(buf) == {1}
 
-    def test_scatter_slice_marks_span(self):
+    def test_scatter_run_marks_span(self):
         buf = Buffer("b", "global", 4 * PAGE_ELEMS, np.float64)
-        buf.scatter(slice(PAGE_ELEMS - 1, PAGE_ELEMS + 1), np.ones(2))
+        buf.scatter(np.arange(PAGE_ELEMS - 1, PAGE_ELEMS + 1), np.ones(2))
         assert dirty_set(buf) == {0, 1}
 
     def test_scatter_array_marks_touched_pages_only(self):
@@ -91,7 +91,7 @@ class TestDirtyBitmap:
     def test_mark_dirty_sel_all_selector_shapes(self):
         buf = Buffer("b", "global", 4 * PAGE_ELEMS, np.float64)
         buf.mark_dirty_sel(5)
-        buf.mark_dirty_sel(slice(PAGE_ELEMS, PAGE_ELEMS + 1))
+        buf.mark_dirty_sel(np.int64(PAGE_ELEMS))
         buf.mark_dirty_sel(np.array([2 * PAGE_ELEMS]))
         assert dirty_set(buf) == {0, 1, 2}
 

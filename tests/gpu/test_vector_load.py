@@ -19,7 +19,7 @@ from repro.errors import MemoryFault
 from repro.gpu.costmodel import amd_mi100, nvidia_a100
 from repro.gpu.device import Device
 
-ENGINES = ["instrumented", "fast", "jit"]
+ENGINES = ["instrumented", "fast"]
 
 SIZE = 16
 THREADS = 32
@@ -136,14 +136,11 @@ def _sector_counters(profile, dtype, engine):
         yield from tc.load_vec(x, [(5 * t) % size, (7 * t + 3) % size, t % size])
         yield from tc.compute("alu")
 
-    kc = dev.launch(kernel, 1, 2 * profile().warp_size, args=(x,), engine=engine)
-    kc.extra.pop("engine", None)
-    for key in [k for k in kc.extra if k.startswith("jit_")]:
-        del kc.extra[key]
-    return kc
+    return dev.launch(kernel, 1, 2 * profile().warp_size, args=(x,),
+                      engine=engine)
 
 
-@pytest.mark.parametrize("engine", ["fast", "jit"])
+@pytest.mark.parametrize("engine", ["fast"])
 @pytest.mark.parametrize("dtype", [np.float64, np.dtype("i4,i4,i4")],
                          ids=["aligned", "straddling"])
 @pytest.mark.parametrize("profile", [nvidia_a100, amd_mi100])

@@ -2,10 +2,10 @@
 
 The exploration tests run under every round engine via the ``engine``
 fixture (``REPRO_ENGINE`` sweep).  Schedule policies are launch hooks,
-so policy-carrying launches deopt to the instrumented engine silently
-while the policy-free baseline really runs fast/jit — the divergence
-verdicts must be identical either way, and the deopt must be clean
-(no jit telemetry on hooked launches, no error).
+so policy-carrying launches downgrade to the instrumented engine
+silently while the policy-free baseline really runs fast — the
+divergence verdicts must be identical either way, and the downgrade must
+be clean (no error).
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.sanitizer.schedule import (
     replay_schedule,
 )
 
-ENGINES = ("instrumented", "fast", "jit")
+ENGINES = ("instrumented", "fast")
 
 
 @pytest.fixture(params=ENGINES)
@@ -108,27 +108,37 @@ class TestExploration:
 
 
 class TestEngineDowngrade:
-    """Policies are hooks: fast/jit launches must deopt cleanly."""
+    """Policies are hooks: fast launches must downgrade cleanly."""
 
-    def test_policy_deopts_jit_launch_without_telemetry(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "jit")
-        dev = Device()
+    def test_policy_downgrades_fast_launch(self, monkeypatch):
+        from repro.exec import SerialExecutor
+        from repro.gpu.block import ThreadBlock
+
+        monkeypatch.setenv("REPRO_ENGINE", "fast")
+        engines = []
+        run = ThreadBlock.run
+
+        def spy(block):
+            engines.append(block.engine)
+            return run(block)
+
+        monkeypatch.setattr(ThreadBlock, "run", spy)
+        dev = Device(executor=SerialExecutor())
         a = dev.alloc("a", 64, np.float64)
 
         def kernel(tc, a):
             yield from tc.store(a, tc.tid, float(tc.tid))
 
-        # Policy-free launch really uses the jit engine...
+        # Policy-free launch really uses the fast engine...
         kc_free = dev.launch(kernel, num_blocks=1, threads_per_block=64,
                              args=(a,))
-        assert kc_free.extra.get("engine") == "jit"
-        # ...the hooked launch silently deopts: no jit telemetry keys.
+        # ...the hooked launch silently downgrades, with equal counters.
         kc_hook = dev.launch(kernel, num_blocks=1, threads_per_block=64,
                              args=(a,), schedule_policy=ShuffleSchedule(1))
-        assert "engine" not in kc_hook.extra
-        assert not any(k.startswith("jit_") for k in kc_hook.extra)
+        assert engines == ["fast", "instrumented"]
+        assert kc_hook.extra == kc_free.extra
 
-    @pytest.mark.parametrize("explicit", ["fast", "jit"])
+    @pytest.mark.parametrize("explicit", ["fast"])
     def test_explicit_engine_plus_policy_raises(self, explicit):
         from repro.errors import LaunchError
 

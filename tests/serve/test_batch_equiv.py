@@ -5,14 +5,9 @@ compatible requests into one segmented grid changes *scheduling*, never
 *semantics*.  Every case runs each request solo on a fresh device (the
 ground truth) and once through :func:`repro.serve.batch.run_batch` on a
 shared device, then compares memory images, cycle counts, per-block
-counters, and counter extras bit-for-bit — across the
-``fast``/``jit`` round engines and the serial/parallel executors (the
-same matrix the CI legs pin via ``REPRO_ENGINE``/``REPRO_EXECUTOR``).
-
-The one deliberate carve-out (documented in ``docs/SERVE.md``): solo
-jit launches attach launch-scoped telemetry (``extra["engine"]``,
-``extra["jit_*"]``) that cannot be attributed per-request inside a
-merged grid, so those keys are stripped before comparing extras.
+counters, and every counter ``extra`` key bit-for-bit — on the
+``fast`` round engine and the serial/parallel executors (the same matrix
+the CI legs pin via ``REPRO_ENGINE``/``REPRO_EXECUTOR``).
 """
 
 from __future__ import annotations
@@ -33,21 +28,12 @@ from serve_helpers import make_args
 
 KERNELS = ("axpy", "square", "scale_sum")
 
-ENGINES = ["fast", "jit"]
+ENGINES = ["fast"]
 EXECUTORS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
     pytest.param(lambda: ParallelExecutor(workers=3, processes=False),
                  id="parallel"),
 ]
-
-#: jit telemetry is launch-scoped and omitted from batched counters.
-_TELEMETRY = ("engine",)
-
-
-def _strip_telemetry(extra: dict) -> dict:
-    return {k: v for k, v in extra.items()
-            if k not in _TELEMETRY and not k.startswith("jit_")}
-
 
 def _solo(catalog, kernel, args, num_teams):
     """Ground truth: the request run alone on a fresh device."""
@@ -100,8 +86,7 @@ def test_batch_bit_identical_to_solo(catalog, engine, make_executor, data):
                     kernel, name)
             assert kc.cycles == out.counters.cycles
             assert list(kc.blocks) == list(out.counters.blocks)
-            assert (_strip_telemetry(kc.extra)
-                    == _strip_telemetry(out.counters.extra))
+            assert kc.extra == out.counters.extra
     finally:
         if prev is None:
             os.environ.pop("REPRO_ENGINE", None)

@@ -2,9 +2,8 @@
 
 The serve tier runs launches from worker threads while the asyncio
 loop flips configuration, so the process-wide singletons it touches
-must be safe under contention: the JIT verdict cache (whose FIFO trim
-is a compound read-modify-write), the default-executor and
-default-faults overrides, and ``Device.launch`` itself (serialized on
+must be safe under contention: the default-executor and default-faults
+overrides, and ``Device.launch`` itself (serialized on
 ``Device.lock``).  Each test hammers one surface from many threads and
 asserts both "no exception / no corruption" and the semantic
 invariant that survives interleaving.
@@ -15,13 +14,11 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import pytest
 
 from repro import omp
 from repro.exec import SerialExecutor, default_executor, set_default_executor
 from repro.faults import coerce_faults, default_faults, set_default_faults
 from repro.gpu.device import Device
-from repro.jit.trace import TraceCache
 
 from serve_helpers import make_args
 
@@ -48,36 +45,6 @@ def _hammer(worker, threads=THREADS):
         t.join(60)
     if errors:
         raise errors[0]
-
-
-class TestTraceCache:
-    def test_concurrent_store_lookup_trim(self):
-        cache = TraceCache(cap=32)
-
-        def worker(tid):
-            for i in range(ITERS):
-                key = (tid, i % 48)  # > cap: trim constantly active
-                cache.store(key, None if i % 3 else "deopt")
-                verdict, found = cache.lookup(key)
-                assert found
-                cache.lookup((tid, (i + 7) % 48))
-
-        _hammer(worker)
-        assert len(cache) <= 32
-
-    def test_concurrent_clear_is_safe(self):
-        cache = TraceCache(cap=16)
-
-        def worker(tid):
-            for i in range(ITERS):
-                if tid == 0 and i % 10 == 0:
-                    cache.clear()
-                else:
-                    cache.store((tid, i % 20), None)
-                    cache.lookup((tid, i % 20))
-
-        _hammer(worker)
-        assert len(cache) <= 16
 
 
 class TestDefaultOverrides:
